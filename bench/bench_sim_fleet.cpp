@@ -2,11 +2,11 @@
 //
 // Fleet-runner throughput and survival study: LU decomposition swept
 // through a hostile scenario matrix (fault seed x crash seed x
-// checkpoint interval x engine thread count) under the fork-based
-// orchestrator, with every hostile mode engaged (loss, duplication,
-// corruption, transient partitions, straggler links, crash-stop with
-// checkpoint/restart). Reports scenario throughput, per-status survival
-// counts and aggregate transport telemetry as one JSON object.
+// checkpoint interval) under the fork-based orchestrator, with every
+// hostile mode engaged (loss, duplication, corruption, transient
+// partitions, straggler links, crash-stop with checkpoint/restart).
+// Reports scenario throughput, per-status survival counts and aggregate
+// transport telemetry as one JSON object.
 //
 // Every surviving scenario is hash-verified bit-identical to the clean
 // sequential run inside the fleet itself; any mismatch fails the
@@ -60,7 +60,6 @@ int main() {
     MS.FaultSeeds.push_back(S);
   MS.CrashSeeds = {1, 2};
   MS.CheckpointIntervals = {0, 4096};
-  MS.ThreadCounts = {1, 2};
   MS.Base.DropRate = 0.04;
   MS.Base.DupRate = 0.02;
   MS.Base.CorruptRate = 0.05;

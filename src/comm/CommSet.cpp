@@ -370,6 +370,7 @@ std::vector<CommSet> dmcc::buildFinalizationSets(
 std::vector<CommSet> dmcc::eliminateSelfReuse(const CommSet &CS) {
   if (CS.RVars.empty())
     return {CS};
+  PhaseTimer Timer("comm.self_reuse");
   LexResult LR = lexMin(CS.Sys, CS.RVars);
   std::vector<CommSet> Out;
   for (const LexPiece &Piece : LR.Pieces) {
@@ -415,6 +416,7 @@ std::vector<CommSet> dmcc::eliminateSelfReuse(const CommSet &CS) {
 }
 
 void dmcc::eliminateGroupReuse(std::vector<CommSet> &Sets) {
+  PhaseTimer Timer("comm.group_reuse");
   // For each "authoritative" set A (lowest read slot first), subtract its
   // delivered values from the sets of later read slots of the same
   // statement. The delivery-batch prefix (the first Level-1 reader
@@ -510,6 +512,7 @@ void dmcc::eliminateGroupReuse(std::vector<CommSet> &Sets) {
 }
 
 void dmcc::coalesceCommSets(std::vector<CommSet> &Sets) {
+  PhaseTimer Timer("comm.coalesce");
   bool Changed = true;
   while (Changed) {
     Changed = false;
@@ -538,6 +541,7 @@ void dmcc::coalesceCommSets(std::vector<CommSet> &Sets) {
 }
 
 bool dmcc::detectMulticast(CommSet &CS) {
+  PhaseTimer Timer("comm.multicast");
   // Eliminate iteration variables; if no remaining constraint couples an
   // element variable with a receiver coordinate, the message content is
   // receiver-independent and can be multicast.

@@ -29,6 +29,7 @@ unsigned chooseAggLevel(const Program &P, const CommSet &CS,
                         const CompilerOptions &Opts, std::string &Diag) {
   if (CS.FromInitialData)
     return 0;
+  PhaseTimer Timer("comm.aggregation");
   unsigned CD = P.commonLoopDepth(CS.WriteStmtId, CS.ReadStmtId);
   auto Clamp = [&](int L) -> unsigned {
     int MinL = CD == 0 ? 0 : 1;

@@ -10,10 +10,9 @@
 /// much extra wire delay?) is a pure function of the seed and the packet's
 /// identity (channel, sequence number, attempt), never of the scheduler's
 /// interleaving — so a given seed produces exactly one fault schedule and
-/// simulation results are bit-for-bit reproducible. The same purity makes
-/// FaultModel thread-safe: after construction every method is const over
-/// immutable members, so the threaded simulator engine (DESIGN.md §10)
-/// queries one shared instance from all workers without locks.
+/// simulation results are bit-for-bit reproducible and identical across
+/// scheduler engines. After construction every method is const over
+/// immutable members.
 ///
 /// The fault model drives the reliable-transport layer in the simulator:
 /// with any fault knob nonzero, sends carry sequence numbers, receivers

@@ -186,7 +186,7 @@ std::string FleetReport::json() const {
         Buf, sizeof Buf,
         "    {\"index\": %u, \"fault_seed\": %" PRIu64
         ", \"crash_seed\": %" PRIu64 ", \"checkpoint_interval\": %" PRIu64
-        ", \"threads\": %u, \"engine\": \"%s\", \"drop_rate\": %g, "
+        ", \"engine\": \"%s\", \"drop_rate\": %g, "
         "\"corrupt_rate\": %g, "
         "\"partition_rate\": %g, \"slow_link_rate\": %g, "
         "\"crash_rate\": %g, \"status\": \"%s\", \"attempts\": %u, "
@@ -195,7 +195,6 @@ std::string FleetReport::json() const {
         ", \"hash\": \"0x%016" PRIx64 "\", \"hash_match\": %s, "
         "\"last_failure\": \"",
         O.Scn.Index, F.Seed, F.CrashSeed, O.Scn.CheckpointInterval,
-        O.Scn.Threads,
         O.Scn.Engine == SimEngine::Event ? "event" : "rounds",
         F.DropRate, F.CorruptRate, F.PartitionRate,
         F.SlowLinkRate, F.CrashRate, scenarioStatusName(O.Status),
@@ -263,8 +262,6 @@ std::vector<FleetScenario> dmcc::buildMatrix(const FleetMatrixSpec &MS) {
   std::vector<uint64_t> FSeeds = OrDefault(MS.FaultSeeds, 1);
   std::vector<uint64_t> CSeeds = OrDefault(MS.CrashSeeds, 0);
   std::vector<uint64_t> Intervals = OrDefault(MS.CheckpointIntervals, 0);
-  std::vector<unsigned> Threads =
-      MS.ThreadCounts.empty() ? std::vector<unsigned>{1} : MS.ThreadCounts;
   std::vector<SimEngine> Engines =
       MS.Engines.empty() ? std::vector<SimEngine>{SimEngine::Rounds}
                          : MS.Engines;
@@ -273,28 +270,21 @@ std::vector<FleetScenario> dmcc::buildMatrix(const FleetMatrixSpec &MS) {
   for (uint64_t FS : FSeeds)
     for (uint64_t CS : CSeeds)
       for (uint64_t IV : Intervals)
-        for (SimEngine Eng : Engines)
-          for (unsigned T : Threads) {
-            // The event engine is single-threaded: emit its cells only
-            // at thread count 1 (duplicates would re-run the identical
-            // configuration under a different index).
-            if (Eng == SimEngine::Event && T > 1)
-              continue;
-            FleetScenario S;
-            S.Index = static_cast<unsigned>(Out.size());
-            S.Faults = MS.Base;
-            S.Faults.Seed = FS;
-            S.Faults.CrashSeed = CS;
-            // A crash without checkpointing is unrecoverable by
-            // construction; keep those cells crash-free instead of
-            // polluting the matrix with guaranteed losses.
-            if (IV == 0)
-              S.Faults.CrashRate = 0;
-            S.CheckpointInterval = IV;
-            S.Threads = T == 0 ? 1 : T;
-            S.Engine = Eng;
-            Out.push_back(std::move(S));
-          }
+        for (SimEngine Eng : Engines) {
+          FleetScenario S;
+          S.Index = static_cast<unsigned>(Out.size());
+          S.Faults = MS.Base;
+          S.Faults.Seed = FS;
+          S.Faults.CrashSeed = CS;
+          // A crash without checkpointing is unrecoverable by
+          // construction; keep those cells crash-free instead of
+          // polluting the matrix with guaranteed losses.
+          if (IV == 0)
+            S.Faults.CrashRate = 0;
+          S.CheckpointInterval = IV;
+          S.Engine = Eng;
+          Out.push_back(std::move(S));
+        }
   return Out;
 }
 
@@ -337,7 +327,6 @@ SimOptions Fleet::scenarioOptions(const FleetScenario &S) const {
   SO.CollapseLoops = false;
   SO.Faults = S.Faults;
   SO.Checkpoint.IntervalSteps = S.CheckpointInterval;
-  SO.Threads = S.Threads;
   SO.Engine = S.Engine;
   return SO;
 }

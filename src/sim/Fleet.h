@@ -7,7 +7,7 @@
 /// \file
 /// The scenario fleet runner: compile a program once, then fan a matrix
 /// of simulation scenarios (fault seed x crash seed x checkpoint
-/// interval x engine/thread count) across a fork-based worker pool with
+/// interval x engine) across a fork-based worker pool with
 /// robust supervision (DESIGN.md §12):
 ///
 ///  - every scenario runs in its own forked child, so a wedged or
@@ -49,9 +49,7 @@ struct FleetScenario {
   unsigned Index = 0;       ///< position in the matrix (report key)
   FaultOptions Faults;      ///< fault schedule, incl. Seed and CrashSeed
   uint64_t CheckpointInterval = 0; ///< logical steps; 0 = no checkpoints
-  unsigned Threads = 1;     ///< simulator engine: 1 = sequential
-  /// Scheduler choice (DESIGN.md §14); SimEngine::Event implies
-  /// Threads == 1 (buildMatrix never emits the invalid combination).
+  /// Scheduler choice (DESIGN.md §14).
   SimEngine Engine = SimEngine::Rounds;
 };
 
@@ -146,10 +144,7 @@ struct FleetMatrixSpec {
   std::vector<uint64_t> FaultSeeds;           ///< default: {1}
   std::vector<uint64_t> CrashSeeds;           ///< default: {0}
   std::vector<uint64_t> CheckpointIntervals;  ///< default: {0}
-  std::vector<unsigned> ThreadCounts;         ///< default: {1}
-  /// Scheduler axis; default: {SimEngine::Rounds}. The event engine is
-  /// single-threaded, so event cells are emitted only for the thread
-  /// count 1 (other counts are skipped, keeping indices contiguous).
+  /// Scheduler axis; default: {SimEngine::Rounds}.
   std::vector<SimEngine> Engines;
   /// Rates shared by every scenario (Seed/CrashSeed overwritten per
   /// cell). CrashRate is zeroed in cells without checkpointing, where
@@ -191,7 +186,7 @@ double clampedBackoffSeconds(double FirstSeconds, unsigned Attempt);
 /// The fleet orchestrator. Holds the once-compiled program; run() fans
 /// a scenario list across the worker pool and aggregates the report.
 /// The caller must not hold live threads across run(): the supervisor
-/// forks, and only the children may go multi-threaded.
+/// forks.
 class Fleet {
 public:
   Fleet(const Program &P, const CompiledProgram &CP,

@@ -7,11 +7,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <unordered_map>
 
 using namespace dmcc;
@@ -57,14 +54,6 @@ struct Simulator::Message {
   /// Reliable-transport sequence number on this channel (0 when the
   /// transport is bypassed).
   uint64_t Seq = 0;
-  /// Flat Procs index of the sender and the scheduler round of the push.
-  /// The threaded engine's visibility rule reads both to reproduce the
-  /// sequential engine's intra-round ordering: a current-round push is
-  /// visible to a receiver only when the sender's processor index does
-  /// not exceed the receiver's (the sequential scheduler would have run
-  /// the sender's slice first). Ignored by the sequential engine.
-  unsigned SenderId = 0;
-  uint64_t PushRound = 0;
 };
 
 struct Simulator::Frame {
@@ -74,24 +63,16 @@ struct Simulator::Frame {
   IntT LoopCur = 0, LoopHi = 0;
 };
 
-struct Simulator::VirtProc {
-  std::vector<IntT> Coord;
-  unsigned Id = 0;   ///< flat index in Procs: crash-schedule identity
-  unsigned Phys = 0;
+/// The part of a virtual processor a coordinated checkpoint snapshots
+/// and a rollback (or durable resume) restores, as one unit.
+struct Simulator::ProcState {
   std::vector<IntT> Env;
   std::vector<IntT> ProgEnv;
   std::vector<Frame> Stack;
   bool Finished = false;
-  bool Blocked = false;
-  /// Killed by the crash-stop schedule and not yet rolled back: executes
-  /// nothing, and its volatile state below is considered lost.
-  bool Crashed = false;
   /// Logical time: statements this incarnation has executed. Restored on
   /// rollback, so replay passes through the same (proc, step) points.
   uint64_t Steps = 0;
-  /// What this processor was waiting for the last time it blocked; the
-  /// deadlock detector reads it to build the structured diagnostic.
-  PendingRecv LastBlock;
   std::map<std::pair<unsigned, IntT>, double> Store;
   int LastMulticastComm = -1;
   /// Physical destinations already served within the current multicast
@@ -105,35 +86,37 @@ struct Simulator::VirtProc {
   uint64_t CachedCount = 0;
 };
 
+struct Simulator::VirtProc : Simulator::ProcState {
+  std::vector<IntT> Coord;
+  unsigned Id = 0;   ///< flat index in Procs: crash-schedule identity
+  unsigned Phys = 0;
+  bool Blocked = false;
+  /// Killed by the crash-stop schedule and not yet rolled back: executes
+  /// nothing, and its volatile state is considered lost.
+  bool Crashed = false;
+  /// What this processor was waiting for the last time it blocked; the
+  /// deadlock detector reads it to build the structured diagnostic.
+  PendingRecv LastBlock;
+
+  ProcState &state() { return *this; }
+  const ProcState &state() const { return *this; }
+};
+
 /// One coordinated checkpoint in the stable store: everything a rollback
 /// must restore. Taken at statement boundaries between scheduler rounds,
 /// so it is a consistent cut by construction; the receive queues stand in
 /// for the channel state a distributed protocol would record with
 /// markers. Clocks and the monotonic overhead counters are deliberately
-/// absent — wall-model time and wasted wire traffic never rewind.
+/// not restored — wall-model time and wasted wire traffic never rewind.
 struct Simulator::Checkpoint {
-  struct ProcState {
-    std::vector<IntT> Env, ProgEnv;
-    std::vector<Frame> Stack;
-    bool Finished = false;
-    uint64_t Steps = 0;
-    std::map<std::pair<unsigned, IntT>, double> Store;
-    int LastMulticastComm = -1;
-    std::set<unsigned> BurstPhys;
-    double BurstReady = 0;
-    int CachedPackComm = -1;
-    std::vector<double> CachedData;
-    uint64_t CachedCount = 0;
-  };
   std::vector<ProcState> Procs;
   std::map<std::vector<IntT>, std::vector<Message>> Queues;
   std::map<std::vector<IntT>, uint64_t> SendSeq, RecvSeq;
   std::vector<TransportFailure> Failures;
-  /// Logical counters at the checkpoint line; a rollback rewinds the
-  /// result's counters to these so recovered runs report the same
-  /// logical traffic as fault-free ones.
-  uint64_t Messages = 0, IntraMessages = 0, Words = 0, Flops = 0,
-           ComputeIterations = 0;
+  /// Counters at the checkpoint line; a rollback rewinds the logical
+  /// ones to these so recovered runs report the same logical traffic as
+  /// fault-free ones.
+  SimCounters Ctr;
   /// Useful-work bucket values at the line; the delta at rollback is the
   /// undone work that moves into the recovery bucket.
   std::vector<double> BusyCompute, BusyProtocol, BusyCheckpoint;
@@ -143,240 +126,7 @@ struct Simulator::Checkpoint {
   std::vector<uint64_t> WordsPerPhys;
 };
 
-/// Everything one slice of one virtual processor needs beyond the
-/// processor itself: where counters, transport failures and crash
-/// events go, the exact global-event base for the checkpoint gate and
-/// the runaway budget, and — in threaded runs — the engine hooks for
-/// the wavefront visibility rule.
-struct Simulator::StepCtx {
-  SimCounters &C;
-  std::vector<TransportFailure> &Failures;
-  std::vector<CrashEvent> &Crashes;
-  /// Global Events immediately before this slice. Exact in the
-  /// sequential engine and in serialized (checkpoint-imminent) threaded
-  /// rounds; the round-start value otherwise.
-  uint64_t EventsBase = 0;
-  /// Statements executed by this slice (out-parameter; blocked receive
-  /// attempts are not counted, matching the sequential engine).
-  uint64_t Executed = 0;
-  /// Whether the checkpoint gate may fire inside this slice. Parallel
-  /// threaded rounds disable it — they are classified so the gate
-  /// provably cannot trigger in the sequential engine either.
-  bool GateCheckpoints = true;
-  uint64_t Round = 0;          ///< scheduler round (message tagging)
-  ThreadEngine *TE = nullptr;  ///< non-null in threaded runs
-  EventEngine *EE = nullptr;   ///< non-null under the event scheduler
-};
-
-/// The threaded engine: a persistent pool of worker threads, one round
-/// barrier, and per-processor completion tracking for the wavefront
-/// rule. Physical processor p is owned by worker p % Workers for the
-/// whole run, so per-physical clocks and busy buckets are single-writer
-/// by construction; each worker steps its processors in ascending flat
-/// index, which the visibility and wait rules below extend to the exact
-/// sequential order where it is observable. See DESIGN.md §10 for the
-/// determinism argument.
-struct Simulator::ThreadEngine {
-  Simulator &S;
-  const unsigned Workers;
-
-  /// Guards the round-control fields and DoneRound; the condition
-  /// variables hang off it.
-  std::mutex Mu;
-  std::condition_variable StartCv; ///< workers await a round start
-  std::condition_variable DoneCv;  ///< main awaits worker completion
-  std::condition_variable ProcCv;  ///< per-processor wavefront waits
-  uint64_t Round = 0;
-  bool Serial = false; ///< this round runs one processor at a time
-  bool Stop = false;
-  unsigned DoneWorkers = 0;
-  uint64_t EventsAtRoundStart = 0;
-  /// Serialized rounds only: Events plus the executed counts of every
-  /// processor that already finished this round — exactly the live
-  /// counter the sequential engine's checkpoint gate reads.
-  uint64_t PrefixEvents = 0;
-  std::vector<uint64_t> DoneRound; ///< per proc: last completed round
-
-  /// Per-processor round-local outputs, merged by the main thread in
-  /// ascending processor order so Failures/CrashLog keep the sequential
-  /// append order exactly.
-  std::vector<uint64_t> ProcExecuted;
-  std::vector<std::vector<TransportFailure>> ProcFailures;
-  std::vector<std::vector<CrashEvent>> ProcCrashes;
-
-  struct WorkerOut {
-    SimCounters C;
-    bool Progress = false, AllDone = true, AnyDead = false;
-  };
-  std::vector<WorkerOut> Outs;
-
-  /// Guards Queues, SendSeq and RecvSeq — the only state two workers
-  /// can touch concurrently. Message operations are rare next to
-  /// compute statements, so one lock suffices.
-  std::mutex ChanMu;
-
-  std::vector<std::thread> Threads;
-
-  ThreadEngine(Simulator &S, unsigned Workers) : S(S), Workers(Workers) {
-    DoneRound.assign(S.Procs.size(), 0);
-    ProcExecuted.assign(S.Procs.size(), 0);
-    ProcFailures.resize(S.Procs.size());
-    ProcCrashes.resize(S.Procs.size());
-    Outs.resize(Workers);
-    Threads.reserve(Workers);
-    for (unsigned W = 0; W != Workers; ++W)
-      Threads.emplace_back([this, W] { workerLoop(W); });
-  }
-
-  ~ThreadEngine() {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      Stop = true;
-    }
-    StartCv.notify_all();
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
-  bool procDone(unsigned J, uint64_t R) {
-    std::lock_guard<std::mutex> L(Mu);
-    return DoneRound[J] >= R;
-  }
-
-  void waitProcDone(unsigned J, uint64_t R) {
-    std::unique_lock<std::mutex> L(Mu);
-    ProcCv.wait(L, [&] { return DoneRound[J] >= R; });
-  }
-
-  void markDone(unsigned J, uint64_t Executed, bool SerialRound) {
-    std::lock_guard<std::mutex> L(Mu);
-    ProcExecuted[J] = Executed;
-    if (SerialRound)
-      PrefixEvents += Executed;
-    DoneRound[J] = Round;
-    ProcCv.notify_all();
-  }
-
-  void workerLoop(unsigned W) {
-    uint64_t Seen = 0;
-    for (;;) {
-      bool SerialRound;
-      {
-        std::unique_lock<std::mutex> L(Mu);
-        StartCv.wait(L, [&] { return Stop || Round > Seen; });
-        if (Stop)
-          return;
-        Seen = Round;
-        SerialRound = Serial;
-      }
-      WorkerOut &Out = Outs[W];
-      for (unsigned J = 0, E = S.Procs.size(); J != E; ++J) {
-        if (S.Procs[J].Phys % Workers != W)
-          continue;
-        runProc(J, Seen, SerialRound, Out);
-      }
-      {
-        std::lock_guard<std::mutex> L(Mu);
-        if (++DoneWorkers == Workers)
-          DoneCv.notify_all();
-      }
-    }
-  }
-
-  void runProc(unsigned J, uint64_t R, bool SerialRound, WorkerOut &Out) {
-    // Serialized (checkpoint-imminent) rounds reproduce the sequential
-    // processor order in full: nobody starts until every lower-index
-    // processor has completed this round, so the events gate sees the
-    // exact live counter. The predecessor chain suffices — J-1 was
-    // itself only marked done after J-2, inductively.
-    if (SerialRound && J > 0)
-      waitProcDone(J - 1, R);
-    VirtProc &V = S.Procs[J];
-    if (V.Crashed) {
-      Out.AllDone = false;
-      Out.AnyDead = true;
-      markDone(J, 0, SerialRound);
-      return;
-    }
-    if (V.Finished) {
-      markDone(J, 0, SerialRound);
-      return;
-    }
-    V.Blocked = false;
-    StepCtx Ctx{Out.C, ProcFailures[J], ProcCrashes[J]};
-    Ctx.TE = this;
-    Ctx.Round = R;
-    if (SerialRound) {
-      {
-        std::lock_guard<std::mutex> L(Mu);
-        Ctx.EventsBase = PrefixEvents;
-      }
-      Ctx.GateCheckpoints = true;
-    } else {
-      // Parallel rounds are classified so the gate cannot trigger (in
-      // either engine); the stale base only delays the runaway-budget
-      // abort, which runRound re-checks at the barrier.
-      Ctx.EventsBase = EventsAtRoundStart;
-      Ctx.GateCheckpoints = false;
-    }
-    if (S.stepProc(V, Ctx))
-      Out.Progress = true;
-    if (V.Crashed)
-      Out.AnyDead = true;
-    if (!V.Finished)
-      Out.AllDone = false;
-    markDone(J, Ctx.Executed, SerialRound);
-  }
-
-  /// Runs one barrier-synchronized round across the pool and merges all
-  /// per-worker and per-processor outputs back into the simulator, in
-  /// the sequential engine's order.
-  RoundFlags runRound() {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      ++Round;
-      EventsAtRoundStart = S.Events;
-      PrefixEvents = S.Events;
-      // Checkpoint-imminent classification: if the gate could fire
-      // inside this round even when every processor runs a full slice,
-      // serialize the round. Otherwise Events stays strictly below the
-      // trigger for the whole round in the sequential engine too, so
-      // running the gate-free parallel path is exact.
-      Serial = S.NextCheckpointEvents != 0 &&
-               addSat(S.Events, mulSat(S.Procs.size(), S.sliceBudget())) >=
-                   S.NextCheckpointEvents;
-      DoneWorkers = 0;
-    }
-    StartCv.notify_all();
-    {
-      std::unique_lock<std::mutex> L(Mu);
-      DoneCv.wait(L, [&] { return DoneWorkers == Workers; });
-    }
-    RoundFlags F;
-    for (WorkerOut &O : Outs) {
-      F.Progress = F.Progress || O.Progress;
-      F.AllDone = F.AllDone && O.AllDone;
-      F.AnyDead = F.AnyDead || O.AnyDead;
-      S.Ctr.add(O.C);
-      O = WorkerOut();
-    }
-    for (unsigned J = 0, E = S.Procs.size(); J != E; ++J) {
-      S.Events += ProcExecuted[J];
-      ProcExecuted[J] = 0;
-      for (TransportFailure &TF : ProcFailures[J])
-        S.Failures.push_back(std::move(TF));
-      ProcFailures[J].clear();
-      for (CrashEvent &CE : ProcCrashes[J])
-        S.CrashLog.push_back(std::move(CE));
-      ProcCrashes[J].clear();
-    }
-    if (S.Events > S.Opts.MaxEvents)
-      fatalError("simulation event budget exhausted");
-    return F;
-  }
-};
-
-/// The discrete-event scheduler (DESIGN.md §14). The sequential engine
+/// The discrete-event scheduler (DESIGN.md §14). The rounds engine
 /// sweeps every virtual processor every round; at P >= 1024 most of
 /// those slices are blocked receive attempts — pure no-ops that rewind
 /// their own step counters and touch nothing else. This engine executes
@@ -447,7 +197,7 @@ struct Simulator::EventEngine {
   /// with an index above the running processor re-enters the CURRENT
   /// round (ascending pops have not reached it, exactly as the
   /// sequential sweep had not); at or below, it sees the message next
-  /// round, matching the sequential engine's intra-round visibility.
+  /// round, matching the rounds engine's intra-round visibility.
   void notifyPush(const std::vector<IntT> &Key) {
     auto It = WaitTable.find(Key);
     if (It == WaitTable.end())
@@ -472,11 +222,7 @@ struct Simulator::EventEngine {
   void gateVisit(unsigned Id) {
     VirtProc &V = S.Procs[Id];
     V.Blocked = false;
-    StepCtx Ctx{S.Ctr, S.Failures, S.CrashLog};
-    Ctx.EventsBase = S.Events;
-    Ctx.EE = this;
-    S.stepProc(V, Ctx);
-    S.Events += Ctx.Executed; // always zero past the gate
+    S.stepProc(V, this); // executes nothing past the gate
     if (V.Finished)
       ++FinishedCount;
   }
@@ -513,12 +259,8 @@ struct Simulator::EventEngine {
       RunQ.erase(RunQ.begin());
       VirtProc &V = S.Procs[Running];
       V.Blocked = false;
-      StepCtx Ctx{S.Ctr, S.Failures, S.CrashLog};
-      Ctx.EventsBase = S.Events;
-      Ctx.EE = this;
-      if (S.stepProc(V, Ctx))
+      if (S.stepProc(V, this))
         F.Progress = true;
-      S.Events += Ctx.Executed;
       if (V.Crashed) {
         ++DeadCount; // parked nowhere until the rollback reset
       } else if (V.Finished) {
@@ -587,17 +329,6 @@ Simulator::Simulator(const Program &P, const CompiledProgram &CP,
     if (G < 1)
       fatalError("Simulator: physical grid dimensions must be >= 1");
   computeVirtualGrid();
-
-  // Row-major strides of the virtual grid: the flat Procs index of a
-  // coordinate, matching the construction odometer below. Checked — a
-  // pathological grid overflows here instead of wrapping.
-  {
-    unsigned Dims = CP.Spmd.GridDims;
-    VirtStride.assign(Dims, 1);
-    for (unsigned D = Dims; D-- > 1;)
-      VirtStride[D - 1] =
-          mulChk(VirtStride[D], addChk(subChk(VirtHi[D], VirtLo[D]), 1));
-  }
 
   // Parameter values aligned to the SPMD space.
   ParamEnv.assign(CP.Spmd.Sp.size(), 0);
@@ -676,21 +407,6 @@ unsigned Simulator::physOf(const std::vector<IntT> &VirtCoord) const {
   return static_cast<unsigned>(Phys);
 }
 
-bool Simulator::procIndexOf(const std::vector<IntT> &Coord,
-                            unsigned &Out) const {
-  if (Coord.size() != VirtLo.size())
-    return false;
-  IntT Flat = 0;
-  for (unsigned D = 0, E = Coord.size(); D != E; ++D) {
-    if (Coord[D] < VirtLo[D] || Coord[D] > VirtHi[D])
-      return false;
-    Flat = addChk(Flat,
-                  mulChk(VirtStride[D], subChk(Coord[D], VirtLo[D])));
-  }
-  Out = static_cast<unsigned>(Flat);
-  return true;
-}
-
 unsigned Simulator::sliceBudget() const {
   // Short slices when crashes or checkpoints are in play: both trigger
   // at round boundaries, so the boundary spacing bounds how stale a
@@ -698,21 +414,6 @@ unsigned Simulator::sliceBudget() const {
   return (Opts.Faults.CrashRate > 0 || Opts.Checkpoint.enabled())
              ? 512
              : 200000;
-}
-
-unsigned Simulator::effectiveWorkers() const {
-  unsigned W = Opts.Threads;
-  if (W == 0) {
-    W = std::thread::hardware_concurrency();
-    if (W == 0)
-      W = 1;
-  }
-  // More workers than physical processors would idle: processor p is
-  // owned by worker p % W, so surplus workers own nothing.
-  unsigned PhysCount = static_cast<unsigned>(PhysClock.size());
-  if (PhysCount != 0 && W > PhysCount)
-    W = PhysCount;
-  return W == 0 ? 1 : W;
 }
 
 void Simulator::flushCounters(SimResult &R) const {
@@ -983,17 +684,16 @@ void Simulator::execComputeIter(VirtProc &V, const SpmdStmt &St) {
   V.Store[{S.Write.ArrayId, flatIndex(S.Write.ArrayId, WIdx)}] = Val;
 }
 
-bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
+bool Simulator::stepProc(VirtProc &V, EventEngine *EE) {
   bool Ran = false;
   const bool CrashActive = Opts.Faults.CrashRate > 0;
   unsigned Slice = sliceBudget();
-  ThreadEngine *TE = Ctx.TE;
-  // Channel-state lock (Queues/SendSeq/RecvSeq): a real lock only under
-  // the threaded engine; the sequential engine constructs an unlocked
-  // guard and pays nothing.
-  auto ChanGuard = [TE]() {
-    return TE ? std::unique_lock<std::mutex>(TE->ChanMu)
-              : std::unique_lock<std::mutex>();
+  // Every queue push goes through here so the event scheduler can wake
+  // a receiver parked on the channel.
+  auto Enqueue = [&](const std::vector<IntT> &Key, Message M) {
+    Queues[Key].push_back(std::move(M));
+    if (EE)
+      EE->notifyPush(Key);
   };
   double &Clock = PhysClock[V.Phys];
   double &Busy = PhysBusy[V.Phys];
@@ -1100,8 +800,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       continue;
     }
     const SpmdStmt &St = (*F.List)[F.Pos];
-    if (Ctx.GateCheckpoints && NextCheckpointEvents != 0 &&
-        addSat(Ctx.EventsBase, Ctx.Executed) >= NextCheckpointEvents)
+    if (NextCheckpointEvents != 0 && Events >= NextCheckpointEvents)
       // A checkpoint is due: pause at this statement boundary so the
       // scheduler can draw the line once every processor has yielded.
       return Ran;
@@ -1113,12 +812,11 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       // number of rollbacks by the processor count.
       HasCrashed[V.Id] = 1;
       V.Crashed = true;
-      Ctx.Crashes.push_back(CrashEvent{V.Coord, V.Phys, V.Steps, Clock});
-      ++Ctx.C.Crashes;
+      CrashLog.push_back(CrashEvent{V.Coord, V.Phys, V.Steps, Clock});
+      ++Ctr.Crashes;
       return Ran;
     }
-    ++Ctx.Executed;
-    if (addSat(Ctx.EventsBase, Ctx.Executed) > Opts.MaxEvents)
+    if (++Events > Opts.MaxEvents)
       fatalError("simulation event budget exhausted");
     ++V.Steps;
     switch (St.K) {
@@ -1141,8 +839,8 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
         for (const SpmdStmt &B : St.Body)
           if (B.K == SpmdStmt::Kind::Compute) {
             C += statementCost(P.statement(B.StmtId));
-            Ctx.C.Flops += Trip * countFlops(P.statement(B.StmtId));
-            Ctx.C.ComputeIterations += Trip;
+            Ctr.Flops += Trip * countFlops(P.statement(B.StmtId));
+            Ctr.ComputeIterations += Trip;
           }
         Clock += Trip * C * SF;
         Busy += Trip * C * SF;
@@ -1180,8 +878,8 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       Clock += C;
       Busy += C;
       BusyCompute[V.Phys] += C;
-      Ctx.C.Flops += countFlops(P.statement(St.StmtId));
-      ++Ctx.C.ComputeIterations;
+      Ctr.Flops += countFlops(P.statement(St.StmtId));
+      ++Ctr.ComputeIterations;
       V.LastMulticastComm = -1;
       ++F.Pos;
       break;
@@ -1232,10 +930,6 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       // order are untouched — only clocks move.
       const bool Early = Opts.EarlySends && St.Nonblocking;
       M.FromMulticast = St.IsMulticast;
-      // Tag for the threaded engine's visibility rule; the sequential
-      // engine never reads these.
-      M.SenderId = V.Id;
-      M.PushRound = Ctx.Round;
       std::vector<IntT> Key;
       Key.push_back(static_cast<IntT>(St.CommId));
       for (IntT C2 : V.Coord)
@@ -1247,32 +941,22 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
         // still sequenced when the transport is engaged — the receive
         // path matches sequence numbers on every channel, and the
         // rollback line is defined by a uniform per-channel cursor.
-        ++Ctx.C.IntraMessages;
+        ++Ctr.IntraMessages;
         M.ReadyTime = Clock;
-        auto CG = ChanGuard();
-        if (Faults.active()) {
+        if (Faults.active())
           M.Seq = SendSeq[Key]++;
-          if (M.Seq < RecvSeq[Key]) {
-            // Replay of a send the receiver consumed before the
-            // rollback line: suppressed on arrival.
-            ++Ctx.C.DuplicatesSuppressed;
-          } else {
-            Queues[Key].push_back(std::move(M));
-            if (Ctx.EE)
-              Ctx.EE->notifyPush(Key);
-          }
-        } else {
-          Queues[Key].push_back(std::move(M));
-          if (Ctx.EE)
-            Ctx.EE->notifyPush(Key);
-        }
+        if (Faults.active() && M.Seq < RecvSeq[Key])
+          // Replay of a send the receiver consumed before the rollback
+          // line: suppressed on arrival.
+          ++Ctr.DuplicatesSuppressed;
+        else
+          Enqueue(Key, std::move(M));
       } else if (Faults.active()) {
         // Reliable transport: stop-and-wait per packet with acks and
         // bounded exponential-backoff retransmission. Every receiver is
         // its own acknowledged channel, so the multicast burst
         // wire-sharing shortcut does not apply here.
         uint64_t Chan = FaultModel::channelId(St.CommId, V.Coord, Dst);
-        auto CG = ChanGuard();
         uint64_t Seq = SendSeq[Key]++;
         M.Seq = Seq;
         // During post-rollback replay the receiver may already be past
@@ -1320,56 +1004,52 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
             // Transient partition: the link blackholes this attempt
             // (and would its ack); the sender's exponential backoff
             // eventually spans the seeded outage.
-            ++Ctx.C.PartitionDrops;
+            ++Ctr.PartitionDrops;
             continue;
           }
           if (Faults.dropData(Chan, Seq, A)) {
-            ++Ctx.C.DroppedPackets;
+            ++Ctr.DroppedPackets;
             continue;
           }
           if (Faults.corruptData(Chan, Seq, A)) {
             // Checksum failure at the receiver: the corrupted copy is
             // discarded and a NACK triggers the next retransmission.
-            ++Ctx.C.CorruptedPackets;
-            ++Ctx.C.NacksSent;
+            ++Ctr.CorruptedPackets;
+            ++Ctr.NacksSent;
             continue;
           }
           Delivered = true;
           if (BelowWindow) {
-            ++Ctx.C.DuplicatesSuppressed;
+            ++Ctr.DuplicatesSuppressed;
           } else {
             Message Copy = M;
             Copy.ReadyTime = Start + Offset + SendCost + DeliverLat +
                              Faults.deliveryDelay(Chan, Seq, A, 0);
-            Queues[Key].push_back(std::move(Copy));
-            if (Ctx.EE)
-              Ctx.EE->notifyPush(Key);
+            Enqueue(Key, std::move(Copy));
           }
-          ++Ctx.C.AcksSent; // the receiver acknowledges this copy
+          ++Ctr.AcksSent; // the receiver acknowledges this copy
           if (Faults.duplicate(Chan, Seq, A)) {
             if (BelowWindow) {
-              ++Ctx.C.DuplicatesSuppressed;
+              ++Ctr.DuplicatesSuppressed;
             } else {
               Message Dup = M;
               Dup.ReadyTime = Start + Offset + SendCost + DeliverLat +
                               Faults.deliveryDelay(Chan, Seq, A, 1);
-              Queues[Key].push_back(std::move(Dup));
-              if (Ctx.EE)
-                Ctx.EE->notifyPush(Key);
+              Enqueue(Key, std::move(Dup));
             }
-            ++Ctx.C.AcksSent;
+            ++Ctr.AcksSent;
           }
           if (!Faults.dropAck(Chan, Seq, A))
             Acked = true;
         }
-        Ctx.C.Retransmissions += Made - 1;
+        Ctr.Retransmissions += Made - 1;
         // Messages/Words stay logical (one per app-level send) so the
         // counters remain comparable across fault schedules; the wire
         // overhead shows up in Retransmissions and the clocks.
-        ++Ctx.C.Messages;
-        Ctx.C.Words += M.WordCount;
+        ++Ctr.Messages;
+        Ctr.Words += M.WordCount;
         if (LinkF > 1.0)
-          ++Ctx.C.SlowLinkMessages;
+          ++Ctr.SlowLinkMessages;
         if (Early) {
           // The NIC is busy through every attempt's backoff plus the
           // final transmission; the CPU already paid IssueCost and
@@ -1377,24 +1057,21 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
           // deferred.
           NetFree[V.Phys] = Start + Offset + SendCost;
           NetDeferred[V.Phys] += SendCost - IssueCost;
-          ++Ctx.C.EarlySends;
+          ++Ctr.EarlySends;
         } else {
           Clock += SendCost;
           Busy += SendCost * Made;
           BusyProtocol[V.Phys] += SendCost * Made;
         }
         if (!Delivered)
-          Ctx.Failures.push_back(
+          Failures.push_back(
               TransportFailure{St.CommId, V.Coord, Dst, Seq, Made});
       } else if (InBurst && V.BurstPhys.count(DstPhys)) {
         // Same physical processor already got this content in the burst:
         // one wire message serves every folded virtual processor.
-        ++Ctx.C.IntraMessages;
+        ++Ctr.IntraMessages;
         M.ReadyTime = V.BurstReady;
-        auto CG = ChanGuard();
-        Queues[Key].push_back(std::move(M));
-        if (Ctx.EE)
-          Ctx.EE->notifyPush(Key);
+        Enqueue(Key, std::move(M));
       } else {
         const bool ExtraDest = InBurst && !V.BurstPhys.empty();
         double C;
@@ -1402,10 +1079,10 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
           C = Opts.Cost.MulticastExtraDest;
         else
           C = Opts.Cost.MsgLatency + M.WordCount * Opts.Cost.SendPerWord;
-        ++Ctx.C.Messages;
-        Ctx.C.Words += M.WordCount;
+        ++Ctr.Messages;
+        Ctr.Words += M.WordCount;
         if (LinkF > 1.0)
-          ++Ctx.C.SlowLinkMessages;
+          ++Ctr.SlowLinkMessages;
         if (Early) {
           // The CPU pays only the pack + issue overhead; the fixed
           // per-message latency runs on the NIC, which serializes this
@@ -1425,7 +1102,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
           double Done = std::max(Clock, NetFree[V.Phys]) + NicC;
           NetFree[V.Phys] = Done;
           NetDeferred[V.Phys] += C - CpuC;
-          ++Ctx.C.EarlySends;
+          ++Ctr.EarlySends;
           M.ReadyTime = Done + static_cast<double>(M.WordCount) *
                                    Opts.Cost.WireTimePerWord * LinkF;
         } else {
@@ -1439,10 +1116,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
         }
         V.BurstPhys.insert(DstPhys);
         V.BurstReady = M.ReadyTime;
-        auto CG = ChanGuard();
-        Queues[Key].push_back(std::move(M));
-        if (Ctx.EE)
-          Ctx.EE->notifyPush(Key);
+        Enqueue(Key, std::move(M));
       }
       V.LastMulticastComm = St.IsMulticast ? static_cast<int>(St.CommId)
                                            : -1;
@@ -1459,112 +1133,55 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
         Key.push_back(C2);
       for (IntT C2 : V.Coord)
         Key.push_back(C2);
-      bool Transport = Faults.active();
-      // Threaded wavefront rule: within a round the sequential scheduler
-      // runs lower-index processors' slices first, so their pushes this
-      // round ARE visible to this receive — the worker must wait for such
-      // a sender to finish its slice before it can conclude anything
-      // about the channel. With the transport engaged the wait is strict
-      // (before the first poll): rollback replay can interleave surviving
-      // in-flight copies with replayed same-sequence pushes, so even a
-      // deliverable-looking queue is not decisive until the sender's
-      // slice is complete.
-      unsigned SenderIdx = 0;
-      const bool SenderBelow =
-          TE && procIndexOf(Src, SenderIdx) && SenderIdx < V.Id;
-      if (SenderBelow && Transport)
-        TE->waitProcDone(SenderIdx, Ctx.Round);
-      Message M;
-      uint64_t Expect = 0;
-      for (;;) {
-        auto CG = ChanGuard();
-        auto It = Queues.find(Key);
-        Expect = Transport ? RecvSeq[Key] : 0;
-        // A message is visible if the sequential engine would have
-        // enqueued it by the time this receive runs: pushed in an
-        // earlier round, or this round by a sender whose slice the
-        // sequential scheduler runs no later than ours. One channel has
-        // one sender, so visibility is a queue prefix.
-        auto VisibleAt = [&](const Message &Cand) {
-          return !TE || Cand.PushRound < Ctx.Round ||
-                 Cand.SenderId <= V.Id;
-        };
-        // Which queued message can this receive consume? Without the
-        // transport: the front (FIFO). With it: the earliest-arriving
-        // copy carrying exactly the expected sequence number; later
-        // sequence numbers may already be buffered (reordered delivery)
-        // but must wait their turn.
-        int Pick = -1;
-        uint64_t Visible = 0;
-        if (It != Queues.end()) {
-          if (!Transport) {
-            for (const Message &Cand : It->second)
-              if (VisibleAt(Cand))
-                ++Visible;
-            if (Visible != 0)
-              Pick = 0;
+      const bool Transport = Faults.active();
+      auto It = Queues.find(Key);
+      const uint64_t Expect = Transport ? RecvSeq[Key] : 0;
+      const uint64_t Queued = It == Queues.end() ? 0 : It->second.size();
+      // Which queued message can this receive consume? Without the
+      // transport: the front (FIFO). With it: the earliest-arriving copy
+      // carrying exactly the expected sequence number; later sequence
+      // numbers may already be buffered (reordered delivery) but must
+      // wait their turn.
+      int Pick = !Transport && Queued != 0 ? 0 : -1;
+      if (Transport)
+        for (unsigned I = 0; I != Queued; ++I) {
+          const Message &Cand = It->second[I];
+          if (Cand.Seq == Expect &&
+              (Pick < 0 || Cand.ReadyTime <
+                               It->second[static_cast<unsigned>(Pick)]
+                                   .ReadyTime))
+            Pick = static_cast<int>(I);
+        }
+      if (Pick < 0) {
+        // A blocked receive attempt is NOT progress: if every processor
+        // ends up here, the scheduler must report deadlock rather than
+        // spin retrying. Record what we were waiting for so the
+        // detector can name it.
+        V.Blocked = true;
+        V.LastBlock.Coord = V.Coord;
+        V.LastBlock.Phys = V.Phys;
+        V.LastBlock.CommId = St.CommId;
+        V.LastBlock.Peer = Src;
+        V.LastBlock.ExpectedSeq = Expect;
+        V.LastBlock.BufferedAhead = Queued;
+        --Events;
+        --V.Steps;
+        return Ran;
+      }
+      Message M = std::move(It->second[static_cast<unsigned>(Pick)]);
+      It->second.erase(It->second.begin() + Pick);
+      if (Transport) {
+        // Suppress every other copy of this packet (wire duplicates and
+        // retransmissions whose ack was lost).
+        for (unsigned I = 0; I != It->second.size();) {
+          if (It->second[I].Seq == Expect) {
+            It->second.erase(It->second.begin() + I);
+            ++Ctr.DuplicatesSuppressed;
           } else {
-            for (unsigned I = 0; I != It->second.size(); ++I) {
-              const Message &Cand = It->second[I];
-              if (!VisibleAt(Cand))
-                continue;
-              ++Visible;
-              if (Cand.Seq != Expect)
-                continue;
-              if (Pick < 0 ||
-                  Cand.ReadyTime <
-                      It->second[static_cast<unsigned>(Pick)].ReadyTime)
-                Pick = static_cast<int>(I);
-            }
+            ++I;
           }
         }
-        if (Pick < 0) {
-          // Nothing deliverable. If a lower-index sender has not yet
-          // finished its slice this round, its (visible) push may still
-          // be coming: wait and re-poll rather than block.
-          if (SenderBelow && !TE->procDone(SenderIdx, Ctx.Round)) {
-            CG.unlock();
-            TE->waitProcDone(SenderIdx, Ctx.Round);
-            continue;
-          }
-          // A blocked receive attempt is NOT progress: if every
-          // processor ends up here, the scheduler must report deadlock
-          // rather than spin retrying. Record what we were waiting for
-          // so the detector can name it. The visible count equals the
-          // sequential queue size at every stall fixed-point (a
-          // no-progress round pushes nothing).
-          V.Blocked = true;
-          V.LastBlock.Coord = V.Coord;
-          V.LastBlock.Phys = V.Phys;
-          V.LastBlock.CommId = St.CommId;
-          V.LastBlock.Peer = Src;
-          V.LastBlock.ExpectedSeq = Expect;
-          V.LastBlock.BufferedAhead = Visible;
-          --Ctx.Executed;
-          --V.Steps;
-          return Ran;
-        }
-        M = std::move(It->second[static_cast<unsigned>(Pick)]);
-        It->second.erase(It->second.begin() + Pick);
-        if (Transport) {
-          // Suppress every other copy of this packet (wire duplicates
-          // and retransmissions whose ack was lost). Invisible copies
-          // with this sequence number are suppressed too: the
-          // sequential engine would have suppressed them at send time
-          // (the receiver's cursor is already past them when the sender
-          // runs later in the round), so totals and final queue state
-          // agree either way.
-          for (unsigned I = 0; I != It->second.size();) {
-            if (It->second[I].Seq == Expect) {
-              It->second.erase(It->second.begin() + I);
-              ++Ctx.C.DuplicatesSuppressed;
-            } else {
-              ++I;
-            }
-          }
-          RecvSeq[Key] = Expect + 1;
-        }
-        break;
+        RecvSeq[Key] = Expect + 1;
       }
       Ran = true;
       if (M.ReadyTime > Clock)
@@ -1621,11 +1238,8 @@ Simulator::RoundFlags Simulator::runRoundSequential() {
     if (V.Finished)
       continue;
     V.Blocked = false;
-    StepCtx Ctx{Ctr, Failures, CrashLog};
-    Ctx.EventsBase = Events;
-    if (stepProc(V, Ctx))
+    if (stepProc(V, nullptr))
       F.Progress = true;
-    Events += Ctx.Executed;
     if (V.Crashed)
       F.AnyDead = true;
     if (!V.Finished)
@@ -1637,13 +1251,6 @@ Simulator::RoundFlags Simulator::runRoundSequential() {
 SimResult Simulator::run() {
   SimResult R;
   const bool Recovery = Opts.Checkpoint.enabled();
-  if (Opts.Engine == SimEngine::Event && Opts.Threads != 1)
-    fatalError("Simulator: the event engine is single-threaded; "
-               "SimEngine::Event requires Threads == 1");
-  const unsigned Workers = effectiveWorkers();
-  std::unique_ptr<ThreadEngine> TE;
-  if (Workers > 1)
-    TE = std::make_unique<ThreadEngine>(*this, Workers);
   if (Recovery) {
     // Free initial checkpoint: the staged input state itself is the
     // rollback line until the first interval elapses. In durable-resume
@@ -1662,9 +1269,7 @@ SimResult Simulator::run() {
   if (Opts.Engine == SimEngine::Event)
     EE = std::make_unique<EventEngine>(*this);
   while (true) {
-    RoundFlags F = TE   ? TE->runRound()
-                   : EE ? EE->runRound()
-                        : runRoundSequential();
+    RoundFlags F = EE ? EE->runRound() : runRoundSequential();
     if (F.AllDone) {
       R.Ok = true;
       break;
@@ -1755,25 +1360,12 @@ void Simulator::takeCheckpoint(SimResult &R, bool Initial) {
   CK->Procs.reserve(Procs.size());
   std::vector<uint64_t> WordsPerPhys(PhysClock.size(), 0);
   for (const VirtProc &V : Procs) {
-    Checkpoint::ProcState PS;
-    PS.Env = V.Env;
-    PS.ProgEnv = V.ProgEnv;
-    PS.Stack = V.Stack;
-    PS.Finished = V.Finished;
-    PS.Steps = V.Steps;
-    PS.Store = V.Store;
-    PS.LastMulticastComm = V.LastMulticastComm;
-    PS.BurstPhys = V.BurstPhys;
-    PS.BurstReady = V.BurstReady;
-    PS.CachedPackComm = V.CachedPackComm;
-    PS.CachedData = V.CachedData;
-    PS.CachedCount = V.CachedCount;
+    CK->Procs.push_back(V.state());
     // Snapshot footprint: array partition + environments + loop cursors
     // (4 words per live frame) + the cached multicast packing.
     WordsPerPhys[V.Phys] += V.Store.size() + V.Env.size() +
                             V.ProgEnv.size() + 4 * V.Stack.size() +
                             V.CachedData.size();
-    CK->Procs.push_back(std::move(PS));
   }
   CK->Queues = Queues;
   for (const auto &[Key, Q] : Queues) {
@@ -1787,11 +1379,7 @@ void Simulator::takeCheckpoint(SimResult &R, bool Initial) {
   CK->SendSeq = SendSeq;
   CK->RecvSeq = RecvSeq;
   CK->Failures = Failures;
-  CK->Messages = Ctr.Messages;
-  CK->IntraMessages = Ctr.IntraMessages;
-  CK->Words = Ctr.Words;
-  CK->Flops = Ctr.Flops;
-  CK->ComputeIterations = Ctr.ComputeIterations;
+  CK->Ctr = Ctr;
   CK->EventsAtTaken = Events;
   CK->WordsPerPhys = WordsPerPhys;
 
@@ -1843,7 +1431,7 @@ void Simulator::restoreCheckpoint(SimResult &R) {
   R.Recovery.ReplayedSteps += Events - ReplayBaseEvents;
   R.Recovery.ReplayedMessages +=
       (Ctr.Messages + Ctr.IntraMessages) -
-      (CK.Messages + CK.IntraMessages);
+      (CK.Ctr.Messages + CK.Ctr.IntraMessages);
 
   // Work done past the line is undone: move it into the recovery bucket
   // so Compute/Protocol/Checkpoint keep charging each useful unit once.
@@ -1858,11 +1446,11 @@ void Simulator::restoreCheckpoint(SimResult &R) {
   // Rewind the logical counters: a recovered run reports the same
   // logical traffic and arithmetic as a fault-free one. The wire-level
   // transport counters stay monotonic.
-  Ctr.Messages = CK.Messages;
-  Ctr.IntraMessages = CK.IntraMessages;
-  Ctr.Words = CK.Words;
-  Ctr.Flops = CK.Flops;
-  Ctr.ComputeIterations = CK.ComputeIterations;
+  Ctr.Messages = CK.Ctr.Messages;
+  Ctr.IntraMessages = CK.Ctr.IntraMessages;
+  Ctr.Words = CK.Ctr.Words;
+  Ctr.Flops = CK.Ctr.Flops;
+  Ctr.ComputeIterations = CK.Ctr.ComputeIterations;
   Failures = CK.Failures;
 
   // Reincarnate every processor from its snapshot. HasCrashed is NOT
@@ -1870,19 +1458,7 @@ void Simulator::restoreCheckpoint(SimResult &R) {
   // passes through the crash point unharmed.
   for (unsigned I = 0, E = Procs.size(); I != E; ++I) {
     VirtProc &V = Procs[I];
-    const Checkpoint::ProcState &PS = CK.Procs[I];
-    V.Env = PS.Env;
-    V.ProgEnv = PS.ProgEnv;
-    V.Stack = PS.Stack;
-    V.Finished = PS.Finished;
-    V.Steps = PS.Steps;
-    V.Store = PS.Store;
-    V.LastMulticastComm = PS.LastMulticastComm;
-    V.BurstPhys = PS.BurstPhys;
-    V.BurstReady = PS.BurstReady;
-    V.CachedPackComm = PS.CachedPackComm;
-    V.CachedData = PS.CachedData;
-    V.CachedCount = PS.CachedCount;
+    V.state() = CK.Procs[I];
     V.Crashed = false;
     V.Blocked = false;
   }
@@ -1941,10 +1517,6 @@ void Simulator::restoreCheckpoint(SimResult &R) {
 // the resumed process's deterministically recompiled SPMD tree.
 //
 // What is deliberately NOT serialized:
-//  - Message::SenderId/PushRound: at a checkpoint line every queued
-//    message was pushed in a strictly earlier round, so both are
-//    normalized to 0, which the threaded engine's wavefront rule treats
-//    as always-visible — exactly the visibility those messages had.
 //  - SlowFactor and the fault schedule: recomputed from the seed.
 //  - NextCheckpointEvents/ReplayBaseEvents: recomputed from Events.
 
@@ -2088,7 +1660,7 @@ void Simulator::persistDurable(const SimResult &R) {
     W.u64(X);
 
   // Per-processor logical state, exactly the in-memory Checkpoint's.
-  for (const Checkpoint::ProcState &PS : CK.Procs) {
+  for (const ProcState &PS : CK.Procs) {
     writeI64Vec(W, PS.Env);
     writeI64Vec(W, PS.ProgEnv);
     W.u64(PS.Stack.size());
@@ -2170,8 +1742,12 @@ bool Simulator::resumeFromDurable(SimResult &R) {
     if (!readI64Vec(Rd, ImgParamEnv) || ImgParamEnv != ParamEnv)
       return false;
 
-    uint64_t ImgEvents = Rd.u64();
-    SimCounters C;
+    // The image parses into a Checkpoint, which becomes the in-memory
+    // stable store once applied, so the next in-simulation rollback has
+    // its line exactly as the uninterrupted run would.
+    auto Img = std::make_unique<Checkpoint>();
+    Img->EventsAtTaken = Rd.u64();
+    SimCounters &C = Img->Ctr;
     C.Messages = Rd.u64();
     C.IntraMessages = Rd.u64();
     C.Words = Rd.u64();
@@ -2192,17 +1768,18 @@ bool Simulator::resumeFromDurable(SimResult &R) {
              ReplayedSteps = Rd.u64(), ReplayedMessages = Rd.u64();
     double RecoveryExtra = Rd.f64();
 
-    std::vector<double> Clock, Busy, BCompute, BProtocol, BCheckpoint,
-        NFree, NDeferred, NExposed;
+    std::vector<double> Clock, Busy, NFree, NDeferred, NExposed;
     if (!readF64Vec(Rd, Clock) || !readF64Vec(Rd, Busy) ||
-        !readF64Vec(Rd, BCompute) || !readF64Vec(Rd, BProtocol) ||
-        !readF64Vec(Rd, BCheckpoint) || !readF64Vec(Rd, NFree) ||
+        !readF64Vec(Rd, Img->BusyCompute) ||
+        !readF64Vec(Rd, Img->BusyProtocol) ||
+        !readF64Vec(Rd, Img->BusyCheckpoint) || !readF64Vec(Rd, NFree) ||
         !readF64Vec(Rd, NDeferred) || !readF64Vec(Rd, NExposed))
       return false;
     const size_t NPhys = PhysClock.size();
     if (Clock.size() != NPhys || Busy.size() != NPhys ||
-        BCompute.size() != NPhys || BProtocol.size() != NPhys ||
-        BCheckpoint.size() != NPhys || NFree.size() != NPhys ||
+        Img->BusyCompute.size() != NPhys ||
+        Img->BusyProtocol.size() != NPhys ||
+        Img->BusyCheckpoint.size() != NPhys || NFree.size() != NPhys ||
         NDeferred.size() != NPhys || NExposed.size() != NPhys)
       return false;
 
@@ -2223,22 +1800,21 @@ bool Simulator::resumeFromDurable(SimResult &R) {
     uint64_t NFail = Rd.u64();
     if (!Rd.ok() || NFail > Rd.remaining() / 24)
       return false;
-    std::vector<TransportFailure> Fails(NFail);
-    for (TransportFailure &F : Fails)
+    Img->Failures.resize(NFail);
+    for (TransportFailure &F : Img->Failures)
       if (!readFailure(Rd, F))
         return false;
     uint64_t NWpp = Rd.u64();
     if (NWpp != NPhys || !Rd.ok())
       return false;
-    std::vector<uint64_t> Wpp(NWpp);
-    for (uint64_t &X : Wpp)
+    Img->WordsPerPhys.resize(NWpp);
+    for (uint64_t &X : Img->WordsPerPhys)
       X = Rd.u64();
 
-    auto Img = std::make_unique<Checkpoint>();
     Img->Procs.resize(Procs.size());
     for (unsigned I = 0, E = static_cast<unsigned>(Procs.size()); I != E;
          ++I) {
-      Checkpoint::ProcState &PS = Img->Procs[I];
+      ProcState &PS = Img->Procs[I];
       if (!readI64Vec(Rd, PS.Env) || PS.Env.size() != Procs[I].Env.size())
         return false;
       if (!readI64Vec(Rd, PS.ProgEnv) ||
@@ -2325,12 +1901,6 @@ bool Simulator::resumeFromDurable(SimResult &R) {
         M.ReadyTime = Rd.f64();
         M.FromMulticast = Rd.u8() != 0;
         M.Seq = Rd.u64();
-        // Normalized visibility: at a checkpoint line every queued
-        // message was pushed in a strictly earlier round, which the
-        // wavefront rule reads as always-visible — encoded as sender 0,
-        // round 0.
-        M.SenderId = 0;
-        M.PushRound = 0;
       }
       Img->Queues.emplace(std::move(Key), std::move(Q));
     }
@@ -2351,37 +1921,24 @@ bool Simulator::resumeFromDurable(SimResult &R) {
     if (!Rd.atEnd())
       return false;
 
-    // Everything validated: apply. Live processor state first.
+    // Everything validated: apply.
     for (unsigned I = 0, E = static_cast<unsigned>(Procs.size()); I != E;
          ++I) {
-      VirtProc &V = Procs[I];
-      const Checkpoint::ProcState &PS = Img->Procs[I];
-      V.Env = PS.Env;
-      V.ProgEnv = PS.ProgEnv;
-      V.Stack = PS.Stack;
-      V.Finished = PS.Finished;
-      V.Steps = PS.Steps;
-      V.Store = PS.Store;
-      V.LastMulticastComm = PS.LastMulticastComm;
-      V.BurstPhys = PS.BurstPhys;
-      V.BurstReady = PS.BurstReady;
-      V.CachedPackComm = PS.CachedPackComm;
-      V.CachedData = PS.CachedData;
-      V.CachedCount = PS.CachedCount;
-      V.Crashed = false; // checkpoints are never taken with dead procs
-      V.Blocked = false;
+      Procs[I].state() = Img->Procs[I];
+      Procs[I].Crashed = false; // never checkpointed with dead procs
+      Procs[I].Blocked = false;
     }
     Queues = Img->Queues;
     SendSeq = Img->SendSeq;
     RecvSeq = Img->RecvSeq;
-    Failures = Fails;
-    Ctr = C;
-    Events = ImgEvents;
+    Failures = Img->Failures;
+    Ctr = Img->Ctr;
+    Events = Img->EventsAtTaken;
     PhysClock = Clock;
     PhysBusy = Busy;
-    BusyCompute = BCompute;
-    BusyProtocol = BProtocol;
-    BusyCheckpoint = BCheckpoint;
+    BusyCompute = Img->BusyCompute;
+    BusyProtocol = Img->BusyProtocol;
+    BusyCheckpoint = Img->BusyCheckpoint;
     NetFree = NFree;
     NetDeferred = NDeferred;
     NetExposed = NExposed;
@@ -2393,23 +1950,6 @@ bool Simulator::resumeFromDurable(SimResult &R) {
     R.Recovery.Rollbacks = Rollbacks;
     R.Recovery.ReplayedSteps = ReplayedSteps;
     R.Recovery.ReplayedMessages = ReplayedMessages;
-
-    // Rebuild the in-memory stable store from the image so the next
-    // in-simulation rollback has its line, exactly as the uninterrupted
-    // run would.
-    Img->SendSeq = SendSeq;
-    Img->RecvSeq = RecvSeq;
-    Img->Failures = Failures;
-    Img->Messages = Ctr.Messages;
-    Img->IntraMessages = Ctr.IntraMessages;
-    Img->Words = Ctr.Words;
-    Img->Flops = Ctr.Flops;
-    Img->ComputeIterations = Ctr.ComputeIterations;
-    Img->BusyCompute = BusyCompute;
-    Img->BusyProtocol = BusyProtocol;
-    Img->BusyCheckpoint = BusyCheckpoint;
-    Img->EventsAtTaken = Events;
-    Img->WordsPerPhys = Wpp;
     Stable = std::move(Img);
     NextCheckpointEvents = addSat(Events, Opts.Checkpoint.IntervalSteps);
     ReplayBaseEvents = Events;

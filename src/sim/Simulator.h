@@ -42,13 +42,6 @@
 /// resent from before the rollback line (DESIGN.md §8). Results remain
 /// bit-exact under every recoverable crash schedule.
 ///
-/// SimOptions::Threads > 1 executes the physical processors on real OS
-/// threads (DESIGN.md §10): rounds become barrier-synchronized epochs,
-/// channels become mutex-guarded queues, and a wavefront rule
-/// reproduces the sequential engine's intra-round message visibility,
-/// so every result — values, costs, diagnostics, recovery telemetry —
-/// is bit-identical to the sequential engine for every seed.
-///
 /// SimOptions::Engine == SimEngine::Event replaces the per-round sweep
 /// over every virtual processor with a discrete-event scheduler
 /// (DESIGN.md §14): only runnable processors are visited, a blocked
@@ -58,7 +51,7 @@
 /// sweeping the remaining processors through no-op slices. Because a
 /// blocked receive attempt is side-effect-free, skipping it preserves
 /// the exact sequential statement order — the event engine is
-/// bit-identical to the round engines for every program, fault, crash
+/// bit-identical to the round engine for every program, fault, crash
 /// and checkpoint schedule, at a fraction of the scheduling cost when
 /// most processors are waiting (the regime at P >= 1024).
 ///
@@ -145,12 +138,12 @@ struct CheckpointOptions {
 
 /// Which scheduler drives the virtual processors (SimOptions::Engine).
 enum class SimEngine {
-  /// Global rounds: the sequential sweep (Threads == 1) or the
-  /// barrier-synchronized thread pool (Threads > 1).
+  /// Global rounds: every live processor runs one slice per round, in
+  /// ascending processor order.
   Rounds,
   /// Discrete-event virtual-clock queue (DESIGN.md §14): processors are
   /// scheduled only when runnable, blocked receivers wake in O(1) via
-  /// per-channel hash buckets. Single-threaded; Threads must be 1.
+  /// per-channel hash buckets.
   Event,
 };
 
@@ -184,26 +177,14 @@ struct SimOptions {
   /// overhead, no recovery from crash-stop failures).
   CheckpointOptions Checkpoint;
   uint64_t MaxEvents = 6000000000ull; ///< runaway guard
-  /// Worker threads executing the physical processors (DESIGN.md §10).
-  /// 1 (the default) is the sequential engine, byte-for-byte today's
-  /// behavior; N > 1 runs physical processors on real OS threads
-  /// (clamped to the physical processor count) with results bit-identical
-  /// to the sequential engine for every program, cost model, fault and
-  /// crash schedule; 0 picks min(hardware concurrency, physical procs).
-  unsigned Threads = 1;
-  /// Scheduler choice (DESIGN.md §14). SimEngine::Event is
-  /// single-threaded by design; combining it with Threads != 1 is a
-  /// configuration error (run() aborts, dmcc-cli rejects it as a usage
-  /// error). Results are bit-identical across engines.
+  /// Scheduler choice (DESIGN.md §14). Results are bit-identical across
+  /// engines.
   SimEngine Engine = SimEngine::Rounds;
 };
 
-/// Logical counters accumulated during execution. The sequential engine
-/// bumps the run-wide instance directly; the threaded engine gives each
-/// worker a private instance and merges at the round barrier — integer
-/// sums commute, so the totals are bit-identical either way. The first
-/// group rewinds with a rollback (checkpoint state); the second group
-/// plus Crashes is monotonic wire-level/telemetry truth.
+/// Logical counters accumulated during execution. The first group
+/// rewinds with a rollback (checkpoint state); the second group plus
+/// Crashes is monotonic wire-level/telemetry truth.
 struct SimCounters {
   uint64_t Messages = 0, IntraMessages = 0, Words = 0, Flops = 0,
            ComputeIterations = 0;
@@ -219,24 +200,6 @@ struct SimCounters {
   /// Nonblocking sends issued. Monotonic wire-level telemetry like
   /// Retransmissions: replayed issues after a rollback count again.
   uint64_t EarlySends = 0;
-
-  void add(const SimCounters &O) {
-    Messages += O.Messages;
-    IntraMessages += O.IntraMessages;
-    Words += O.Words;
-    Flops += O.Flops;
-    ComputeIterations += O.ComputeIterations;
-    Retransmissions += O.Retransmissions;
-    DroppedPackets += O.DroppedPackets;
-    DuplicatesSuppressed += O.DuplicatesSuppressed;
-    AcksSent += O.AcksSent;
-    CorruptedPackets += O.CorruptedPackets;
-    NacksSent += O.NacksSent;
-    PartitionDrops += O.PartitionDrops;
-    SlowLinkMessages += O.SlowLinkMessages;
-    Crashes += O.Crashes;
-    EarlySends += O.EarlySends;
-  }
 };
 
 /// One virtual processor stuck on a receive when the deadlock detector
@@ -409,15 +372,11 @@ public:
 
 private:
   struct Frame;
+  /// A virtual processor's checkpointed state.
+  struct ProcState;
   struct VirtProc;
   struct Message;
   struct Checkpoint;
-  /// Per-slice execution context: counter sink, exact-events base for
-  /// the checkpoint gate, and the threaded engine's wavefront hooks.
-  struct StepCtx;
-  /// Worker pool, round barrier and wavefront synchronization for the
-  /// threaded engine (DESIGN.md §10).
-  struct ThreadEngine;
   /// Discrete-event scheduler: run queues, per-channel wait buckets and
   /// the O(1) wake rule (DESIGN.md §14).
   struct EventEngine;
@@ -429,22 +388,18 @@ private:
   IntT flatIndex(unsigned ArrayId, const std::vector<IntT> &Idx) const;
   void computeVirtualGrid();
   void initLocalStores();
-  bool stepProc(VirtProc &V, StepCtx &Ctx);
-  /// One cooperative round of the sequential engine: every live
-  /// processor runs one slice, in ascending processor order.
+  /// Runs one slice of \p V, counting executed statements into Events.
+  /// \p EE, when non-null, is woken by every queue push.
+  bool stepProc(VirtProc &V, EventEngine *EE);
+  /// One cooperative round of the rounds engine: every live processor
+  /// runs one slice, in ascending processor order.
   RoundFlags runRoundSequential();
   void execComputeIter(VirtProc &V, const SpmdStmt &St);
   double statementCost(const Statement &S) const;
   unsigned physOf(const std::vector<IntT> &VirtCoord) const;
-  /// Flat Procs index of a virtual-grid coordinate; false when the
-  /// coordinate lies outside the instantiated grid.
-  bool procIndexOf(const std::vector<IntT> &Coord, unsigned &Out) const;
   /// Statements per processor per round (short when crashes or
   /// checkpoints bound how stale a round boundary may be).
   unsigned sliceBudget() const;
-  /// Worker threads the run will actually use (Opts.Threads clamped to
-  /// the physical processor count; 0 = hardware concurrency).
-  unsigned effectiveWorkers() const;
   /// Copies the canonical counters into the result's fields.
   void flushCounters(SimResult &R) const;
   void reportStall(SimResult &R) const;
@@ -468,9 +423,7 @@ private:
   bool resumeFromDurable(SimResult &R);
   /// Sum the per-physical busy buckets into the result's telemetry.
   void fillRecoverySplit(SimResult &R) const;
-  /// Sum the per-physical overlap buckets into the result's telemetry
-  /// (fixed physical order, so totals are bit-identical across worker
-  /// counts).
+  /// Sum the per-physical overlap buckets into the result's telemetry.
   void fillOverlap(SimResult &R) const;
 
   const Program &P;
@@ -480,9 +433,6 @@ private:
   FaultModel Faults;
 
   std::vector<IntT> VirtLo, VirtHi; ///< virtual grid extent per dim
-  /// Row-major strides of the virtual grid, for coordinate -> flat
-  /// Procs-index mapping (the construction odometer's order).
-  std::vector<IntT> VirtStride;
   std::vector<VirtProc> Procs;
   std::map<std::vector<IntT>, std::vector<Message>> Queues;
   /// Reliable transport: next sequence number per directed channel key
@@ -501,7 +451,7 @@ private:
   std::vector<double> BusyCompute, BusyProtocol, BusyCheckpoint;
   double RecoveryExtraSeconds = 0;
   /// Early-send NIC model (DESIGN.md §11), one slot per physical
-  /// processor and single-writer under the threaded engine. NetFree is
+  /// processor. NetFree is
   /// the time the NIC is next free — clock-like: it never rewinds on a
   /// rollback and is not checkpointed (replayed issues reserve fresh
   /// NIC time, exactly as replayed computes re-charge the clock).

@@ -58,6 +58,10 @@ struct GoldenCase {
   const char *Golden;     // snapshot, relative to the repo root
 };
 
+// Prints the case by name, so the listed test names stay the same from
+// one build to the next instead of carrying the struct's pointer bytes.
+void PrintTo(const GoldenCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class Golden : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(Golden, PrinterOutputMatchesSnapshot) {

@@ -27,6 +27,11 @@ struct E2ECase {
   CompileSpec (*MakeSpec)(const Program &P);
 };
 
+// Prints the case by name. Without this gtest dumps the raw bytes of the
+// struct, pointers included, so the listed test names (and the ctest
+// names discovered from them) would change with every link and load.
+void PrintTo(const E2ECase &C, std::ostream *OS) { *OS << C.Name; }
+
 CompileSpec shiftSpec(const Program &P) {
   CompileSpec Spec;
   // Iterations of the i loop in blocks of 4; X in matching blocks.

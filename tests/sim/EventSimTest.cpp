@@ -4,11 +4,10 @@
 // (DESIGN.md §14): LU and the Jacobi stencil pipeline under
 // SimEngine::Event must be bit-identical — array contents, cost
 // totals, per-phys busy time, transport counters, recovery telemetry,
-// diagnostics — to both the sequential and the threaded round-barrier
-// engines, across clean, lossy, hostile, crash/checkpoint and durable
-// kill/resume schedules. Also pins the integer-overflow regressions of
-// the same PR: a saturating checkpoint gate and a non-wrapping
-// transport retry budget.
+// diagnostics — to the rounds engine, across clean, lossy, hostile,
+// crash/checkpoint and durable kill/resume schedules. Also pins two
+// integer-overflow regressions of the simulator: a saturating
+// checkpoint gate and a non-wrapping transport retry budget.
 //
 //===----------------------------------------------------------------------===//
 
@@ -83,7 +82,7 @@ CompileSpec stencilSpec(const Program &P) {
 }
 
 SimOptions opts(IntT Procs, std::map<std::string, IntT> Params,
-                bool Functional, SimEngine Engine, unsigned Threads = 1,
+                bool Functional, SimEngine Engine,
                 FaultOptions Faults = {},
                 CheckpointOptions Checkpoint = {}) {
   SimOptions SO;
@@ -93,7 +92,6 @@ SimOptions opts(IntT Procs, std::map<std::string, IntT> Params,
   SO.CollapseLoops = !Functional;
   SO.Faults = Faults;
   SO.Checkpoint = Checkpoint;
-  SO.Threads = Threads;
   SO.Engine = Engine;
   return SO;
 }
@@ -185,28 +183,20 @@ void expectIdentical(const RunOut &A, const RunOut &B,
   EXPECT_EQ(Bad, 0u) << Tag << ": array contents diverge";
 }
 
-/// Runs the same schedule under the sequential round engine, the event
-/// engine, and (optionally) the threaded engine, and requires all legs
-/// bit-identical.
+/// Runs the same schedule under the rounds engine and the event engine,
+/// and requires both legs bit-identical.
 void expectEnginesAgree(const Program &P, const CompiledProgram &CP,
                         const CompileSpec &Spec, IntT Procs,
                         const std::map<std::string, IntT> &Pv,
                         bool Functional, FaultOptions F,
-                        CheckpointOptions CK, const std::string &Tag,
-                        bool AlsoThreaded = true) {
+                        CheckpointOptions CK, const std::string &Tag) {
   RunOut Seq = runLeg(
-      P, CP, Spec,
-      opts(Procs, Pv, Functional, SimEngine::Rounds, 1, F, CK), Pv);
+      P, CP, Spec, opts(Procs, Pv, Functional, SimEngine::Rounds, F, CK),
+      Pv);
   RunOut Evt = runLeg(
-      P, CP, Spec,
-      opts(Procs, Pv, Functional, SimEngine::Event, 1, F, CK), Pv);
+      P, CP, Spec, opts(Procs, Pv, Functional, SimEngine::Event, F, CK),
+      Pv);
   expectIdentical(Seq, Evt, Tag + " event-vs-seq");
-  if (AlsoThreaded) {
-    RunOut Thr = runLeg(
-        P, CP, Spec,
-        opts(Procs, Pv, Functional, SimEngine::Rounds, 2, F, CK), Pv);
-    expectIdentical(Evt, Thr, Tag + " event-vs-threaded");
-  }
 }
 
 /// A scratch directory deleted (recursively, one level) on destruction.
@@ -318,13 +308,27 @@ TEST(EventSim, LossyTransportMatchesAcrossSeeds) {
     F.MaxDelaySeconds = 2e-4;
     F.MaxSlowdown = 1.5;
     RunOut Base = runLeg(
-        P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, 1, F), Pv);
+        P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, F), Pv);
     ASSERT_TRUE(Base.R.Ok) << "seed " << Seed << ": " << Base.R.Error;
     ASSERT_GT(Base.R.Retransmissions + Base.R.DuplicatesSuppressed, 0u)
         << "seed " << Seed << " exercised no transport machinery";
     expectEnginesAgree(P, CP, Spec, 4, Pv, true, F, {},
                        "lu-fault seed=" + std::to_string(Seed));
   }
+  // The stencil pipeline's overlapped-border layout under heavier loss.
+  Program SP = stencil();
+  CompileSpec SSpec = stencilSpec(SP);
+  CompiledProgram SCP = compile(SP, SSpec);
+  std::map<std::string, IntT> SPv = {{"T", 5}, {"N", 63}};
+  FaultOptions F;
+  F.Seed = 9;
+  F.DropRate = 0.08;
+  F.DupRate = 0.04;
+  F.MaxDelaySeconds = 1e-4;
+  RunOut Base = runLeg(SP, SCP, SSpec,
+                       opts(4, SPv, true, SimEngine::Rounds, F), SPv);
+  ASSERT_TRUE(Base.R.Ok) << Base.R.Error;
+  expectEnginesAgree(SP, SCP, SSpec, 4, SPv, true, F, {}, "stencil-fault");
 }
 
 TEST(EventSim, HostileModesMatchAllEngines) {
@@ -345,7 +349,7 @@ TEST(EventSim, HostileModesMatchAllEngines) {
     F.SlowLinkMaxFactor = 3.0;
     F.DropRate = 0.03;
     RunOut Base = runLeg(
-        P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, 1, F), Pv);
+        P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, F), Pv);
     ASSERT_TRUE(Base.R.Ok) << "seed " << Seed << ": " << Base.R.Error;
     ASSERT_GT(Base.R.CorruptedPackets, 0u) << "seed " << Seed;
     ASSERT_GT(Base.R.PartitionDrops, 0u) << "seed " << Seed;
@@ -370,7 +374,7 @@ TEST(EventSim, CrashRecoveryMatchesAcrossSeeds) {
     CheckpointOptions CK;
     CK.IntervalSteps = 40000;
     RunOut Base = runLeg(
-        P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, 1, F, CK),
+        P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, F, CK),
         Pv);
     ASSERT_TRUE(Base.R.Ok) << "seed " << CrashSeed << ": "
                            << Base.R.Error;
@@ -393,7 +397,7 @@ TEST(EventSim, UnrecoverableCrashDiagnosticsMatchAllEngines) {
   F.CrashRate = 2e-3;
   F.CrashSeed = 5;
   RunOut Base = runLeg(
-      P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, 1, F), Pv);
+      P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, F), Pv);
   ASSERT_FALSE(Base.R.Ok);
   ASSERT_GE(Base.R.Recovery.Crashes, 1u);
   expectEnginesAgree(P, CP, Spec, 4, Pv, true, F, {}, "stencil-dead");
@@ -421,13 +425,13 @@ TEST(EventSim, DurableKillResumeIsBitIdentical) {
   CK.IntervalSteps = 100;
 
   RunOut Seq = runLeg(
-      P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, 1, F, CK), Pv);
+      P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, F, CK), Pv);
   ASSERT_TRUE(Seq.R.Ok) << Seq.R.Error;
 
   TempDir Ref, Cut;
   CK.DurableDir = Ref.Path;
   RunOut Full = runLeg(
-      P, CP, Spec, opts(4, Pv, true, SimEngine::Event, 1, F, CK), Pv);
+      P, CP, Spec, opts(4, Pv, true, SimEngine::Event, F, CK), Pv);
   ASSERT_TRUE(Full.R.Ok) << Full.R.Error;
   expectIdentical(Seq, Full, "event-durable vs sequential");
 
@@ -438,7 +442,7 @@ TEST(EventSim, DurableKillResumeIsBitIdentical) {
   CK.DurableDir = Cut.Path;
   CK.Resume = true;
   Simulator Res(P, CP, Spec,
-                opts(4, Pv, true, SimEngine::Event, 1, F, CK));
+                opts(4, Pv, true, SimEngine::Event, F, CK));
   RunOut RRes;
   RRes.R = Res.run();
   ASSERT_TRUE(RRes.R.Ok) << RRes.R.Error;
@@ -477,7 +481,7 @@ TEST(EventSim, HugeCheckpointIntervalSaturatesInsteadOfWrapping) {
   CK.IntervalSteps = UINT64_MAX;
   for (SimEngine Eng : {SimEngine::Rounds, SimEngine::Event}) {
     RunOut Leg =
-        runLeg(P, CP, Spec, opts(4, Pv, true, Eng, 1, {}, CK), Pv);
+        runLeg(P, CP, Spec, opts(4, Pv, true, Eng, {}, CK), Pv);
     ASSERT_TRUE(Leg.R.Ok) << Leg.R.Error;
     // Only the initial checkpoint is taken; the interval never elapses.
     EXPECT_EQ(Leg.R.Recovery.CheckpointsTaken, 1u);
@@ -500,7 +504,7 @@ TEST(EventSim, MaxRetriesUintMaxDoesNotWrapTheAttemptBudget) {
   F.DropRate = 0.1;
   F.MaxRetries = 8;
   RunOut Bounded = runLeg(
-      P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, 1, F), Pv);
+      P, CP, Spec, opts(4, Pv, true, SimEngine::Rounds, F), Pv);
   ASSERT_TRUE(Bounded.R.Ok) << Bounded.R.Error;
   ASSERT_GT(Bounded.R.Retransmissions, 0u);
   EXPECT_LT(Bounded.R.Retransmissions, 1u << 20)
@@ -508,7 +512,7 @@ TEST(EventSim, MaxRetriesUintMaxDoesNotWrapTheAttemptBudget) {
   F.MaxRetries = UINT_MAX;
   for (SimEngine Eng : {SimEngine::Rounds, SimEngine::Event}) {
     RunOut Unbounded =
-        runLeg(P, CP, Spec, opts(4, Pv, true, Eng, 1, F), Pv);
+        runLeg(P, CP, Spec, opts(4, Pv, true, Eng, F), Pv);
     expectIdentical(Bounded, Unbounded, "max-retries=UINT_MAX");
   }
 }

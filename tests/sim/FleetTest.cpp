@@ -185,7 +185,7 @@ TEST(Fleet, MatrixIsFullyAccountedAndBitExactUnderHostileFaults) {
   FleetMatrixSpec MS;
   MS.FaultSeeds = {1, 2, 3};
   MS.CheckpointIntervals = {0, 4096};
-  MS.ThreadCounts = {1, 2};
+  MS.Engines = {SimEngine::Rounds, SimEngine::Event};
   MS.Base.DropRate = 0.04;
   MS.Base.CorruptRate = 0.05;
   MS.Base.PartitionRate = 0.03;
@@ -416,29 +416,25 @@ TEST(Fleet, BuildMatrixDefaultsToOneCleanCell) {
   std::vector<FleetScenario> M = buildMatrix(FleetMatrixSpec());
   ASSERT_EQ(M.size(), 1u);
   EXPECT_EQ(M[0].Index, 0u);
-  EXPECT_EQ(M[0].Threads, 1u);
   EXPECT_EQ(M[0].CheckpointInterval, 0u);
   EXPECT_EQ(M[0].Engine, SimEngine::Rounds);
   EXPECT_FALSE(M[0].Faults.faulty());
 }
 
-TEST(Fleet, BuildMatrixEmitsEventCellsOnlySingleThreaded) {
-  // The engines axis: event cells exist only at thread count 1 (the
-  // event scheduler is single-threaded), and indices stay contiguous.
+TEST(Fleet, BuildMatrixCrossesTheEnginesAxis) {
+  // The engines axis multiplies the matrix, and indices stay
+  // contiguous.
   FleetMatrixSpec MS;
   MS.FaultSeeds = {1, 2};
-  MS.ThreadCounts = {1, 2, 4};
   MS.Engines = {SimEngine::Rounds, SimEngine::Event};
   std::vector<FleetScenario> M = buildMatrix(MS);
-  // 2 seeds x (3 rounds cells + 1 event cell) = 8.
-  ASSERT_EQ(M.size(), 8u);
+  // 2 seeds x 2 engines = 4.
+  ASSERT_EQ(M.size(), 4u);
   unsigned EventCells = 0;
   for (size_t I = 0; I != M.size(); ++I) {
     EXPECT_EQ(M[I].Index, static_cast<unsigned>(I));
-    if (M[I].Engine == SimEngine::Event) {
+    if (M[I].Engine == SimEngine::Event)
       ++EventCells;
-      EXPECT_EQ(M[I].Threads, 1u);
-    }
   }
   EXPECT_EQ(EventCells, 2u);
 }

@@ -6,9 +6,8 @@
 // final arrays, identical logical counters (messages, words, flops,
 // events), identical transport totals under lossy schedules, and
 // identical crash/recovery telemetry — while the clean makespan
-// strictly improves. Early-on runs must additionally stay bit-identical
-// across --sim-threads counts, and SimOptions::EarlySends=false must
-// reduce a marked program to exactly the blocking engine.
+// strictly improves. SimOptions::EarlySends=false must reduce a marked
+// program to exactly the blocking engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -85,8 +84,7 @@ CompiledProgram compileLeg(const Program &P, const CompileSpec &Spec,
 }
 
 SimOptions opts(IntT Procs, std::map<std::string, IntT> Params,
-                bool Functional, unsigned Threads,
-                FaultOptions Faults = {},
+                bool Functional, FaultOptions Faults = {},
                 CheckpointOptions Checkpoint = {}) {
   SimOptions SO;
   SO.PhysGrid = {Procs};
@@ -95,7 +93,6 @@ SimOptions opts(IntT Procs, std::map<std::string, IntT> Params,
   SO.CollapseLoops = !Functional;
   SO.Faults = Faults;
   SO.Checkpoint = Checkpoint;
-  SO.Threads = Threads;
   return SO;
 }
 
@@ -170,9 +167,8 @@ void expectSameObservables(const RunOut &A, const RunOut &B,
   EXPECT_EQ(Bad, 0u) << Tag << ": array contents diverge";
 }
 
-/// Bit-identical comparison (the ThreadedSimTest contract) plus the
-/// overlap telemetry: used for early-on legs across thread counts and
-/// for the SimOptions::EarlySends=false reduction.
+/// Bit-identical comparison plus the overlap telemetry: used for the
+/// SimOptions::EarlySends=false reduction.
 void expectIdentical(const RunOut &A, const RunOut &B,
                      const std::string &Tag) {
   expectSameObservables(A, B, Tag);
@@ -221,8 +217,8 @@ TEST(OverlapSim, CleanLUIdenticalArraysFasterMakespan) {
   CompiledProgram Off = compileLeg(P, Spec, false);
   CompiledProgram On = compileLeg(P, Spec, true);
   std::map<std::string, IntT> Pv = {{"N", 48}};
-  RunOut A = runLeg(P, Off, Spec, opts(8, Pv, true, 1), Pv);
-  RunOut B = runLeg(P, On, Spec, opts(8, Pv, true, 1), Pv);
+  RunOut A = runLeg(P, Off, Spec, opts(8, Pv, true), Pv);
+  RunOut B = runLeg(P, On, Spec, opts(8, Pv, true), Pv);
   ASSERT_TRUE(A.R.Ok) << A.R.Error;
   ASSERT_TRUE(B.R.Ok) << B.R.Error;
   // The blocking leg is gold-verified, so observable equality proves
@@ -249,8 +245,8 @@ TEST(OverlapSim, CleanStencilIdenticalArraysFasterMakespan) {
   CompiledProgram Off = compileLeg(P, Spec, false);
   CompiledProgram On = compileLeg(P, Spec, true);
   std::map<std::string, IntT> Pv = {{"T", 5}, {"N", 63}};
-  RunOut A = runLeg(P, Off, Spec, opts(4, Pv, true, 1), Pv);
-  RunOut B = runLeg(P, On, Spec, opts(4, Pv, true, 1), Pv);
+  RunOut A = runLeg(P, Off, Spec, opts(4, Pv, true), Pv);
+  RunOut B = runLeg(P, On, Spec, opts(4, Pv, true), Pv);
   ASSERT_TRUE(A.R.Ok) << A.R.Error;
   ASSERT_TRUE(B.R.Ok) << B.R.Error;
   expectSameObservables(A, B, "stencil clean");
@@ -266,8 +262,8 @@ TEST(OverlapSim, PerformanceModeMakespanImproves) {
   CompiledProgram Off = compileLeg(P, Spec, false);
   CompiledProgram On = compileLeg(P, Spec, true);
   std::map<std::string, IntT> Pv = {{"N", 96}};
-  RunOut A = runLeg(P, Off, Spec, opts(8, Pv, false, 1), Pv);
-  RunOut B = runLeg(P, On, Spec, opts(8, Pv, false, 1), Pv);
+  RunOut A = runLeg(P, Off, Spec, opts(8, Pv, false), Pv);
+  RunOut B = runLeg(P, On, Spec, opts(8, Pv, false), Pv);
   ASSERT_TRUE(A.R.Ok) << A.R.Error;
   ASSERT_TRUE(B.R.Ok) << B.R.Error;
   expectSameObservables(A, B, "lu perf");
@@ -291,8 +287,8 @@ TEST(OverlapSim, LossyTransportSameTotalsAcrossSeeds) {
     F.DupRate = 0.05;
     F.MaxDelaySeconds = 2e-4;
     F.MaxSlowdown = 1.5;
-    RunOut A = runLeg(P, Off, Spec, opts(4, Pv, true, 1, F), Pv);
-    RunOut B = runLeg(P, On, Spec, opts(4, Pv, true, 1, F), Pv);
+    RunOut A = runLeg(P, Off, Spec, opts(4, Pv, true, F), Pv);
+    RunOut B = runLeg(P, On, Spec, opts(4, Pv, true, F), Pv);
     ASSERT_TRUE(A.R.Ok) << "seed " << Seed << ": " << A.R.Error;
     ASSERT_TRUE(B.R.Ok) << "seed " << Seed << ": " << B.R.Error;
     ASSERT_GT(A.R.Retransmissions + A.R.DuplicatesSuppressed, 0u)
@@ -300,42 +296,23 @@ TEST(OverlapSim, LossyTransportSameTotalsAcrossSeeds) {
     expectSameObservables(A, B, "lu-fault seed=" + std::to_string(Seed));
     EXPECT_GT(B.R.Overlap.EarlySends, 0u) << "seed " << Seed;
   }
-}
-
-TEST(OverlapSim, EarlyLegsBitIdenticalAcrossThreadCounts) {
-  // The NIC clocks are per-physical single-writer state and the overlap
-  // telemetry is summed in fixed processor order, so the threaded
-  // engine must reproduce every early-send observable bit-for-bit.
-  Program P = lu();
-  CompileSpec Spec = luSpec(P);
-  CompiledProgram On = compileLeg(P, Spec, true);
-  std::map<std::string, IntT> Pv = {{"N", 48}};
-  RunOut Base = runLeg(P, On, Spec, opts(8, Pv, true, 1), Pv);
-  ASSERT_TRUE(Base.R.Ok) << Base.R.Error;
-  ASSERT_GT(Base.R.Overlap.EarlySends, 0u);
-  for (unsigned T : {2u, 8u}) {
-    RunOut Leg = runLeg(P, On, Spec, opts(8, Pv, true, T), Pv);
-    expectIdentical(Base, Leg, "lu-early threads=" + std::to_string(T));
-  }
-}
-
-TEST(OverlapSim, LossyEarlyLegsBitIdenticalAcrossThreadCounts) {
-  Program P = stencil();
-  CompileSpec Spec = stencilSpec(P);
-  CompiledProgram On = compileLeg(P, Spec, true);
-  std::map<std::string, IntT> Pv = {{"T", 5}, {"N", 63}};
+  // The stencil pipeline under heavier loss.
+  Program SP = stencil();
+  CompileSpec SSpec = stencilSpec(SP);
+  CompiledProgram SOff = compileLeg(SP, SSpec, false);
+  CompiledProgram SOn = compileLeg(SP, SSpec, true);
+  std::map<std::string, IntT> SPv = {{"T", 5}, {"N", 63}};
   FaultOptions F;
   F.Seed = 9;
   F.DropRate = 0.08;
   F.DupRate = 0.04;
   F.MaxDelaySeconds = 1e-4;
-  RunOut Base = runLeg(P, On, Spec, opts(4, Pv, true, 1, F), Pv);
-  ASSERT_TRUE(Base.R.Ok) << Base.R.Error;
-  for (unsigned T : {2u, 8u}) {
-    RunOut Leg = runLeg(P, On, Spec, opts(4, Pv, true, T, F), Pv);
-    expectIdentical(Base, Leg,
-                    "stencil-early-fault threads=" + std::to_string(T));
-  }
+  RunOut A = runLeg(SP, SOff, SSpec, opts(4, SPv, true, F), SPv);
+  RunOut B = runLeg(SP, SOn, SSpec, opts(4, SPv, true, F), SPv);
+  ASSERT_TRUE(A.R.Ok) << A.R.Error;
+  ASSERT_TRUE(B.R.Ok) << B.R.Error;
+  expectSameObservables(A, B, "stencil-fault");
+  EXPECT_GT(B.R.Overlap.EarlySends, 0u);
 }
 
 TEST(OverlapSim, CrashRecoverySameTelemetryAcrossSeeds) {
@@ -355,20 +332,14 @@ TEST(OverlapSim, CrashRecoverySameTelemetryAcrossSeeds) {
     F.CrashSeed = CrashSeed;
     CheckpointOptions CK;
     CK.IntervalSteps = 40000;
-    RunOut A = runLeg(P, Off, Spec, opts(4, Pv, true, 1, F, CK), Pv);
-    RunOut B = runLeg(P, On, Spec, opts(4, Pv, true, 1, F, CK), Pv);
+    RunOut A = runLeg(P, Off, Spec, opts(4, Pv, true, F, CK), Pv);
+    RunOut B = runLeg(P, On, Spec, opts(4, Pv, true, F, CK), Pv);
     ASSERT_TRUE(A.R.Ok) << "seed " << CrashSeed << ": " << A.R.Error;
     ASSERT_TRUE(B.R.Ok) << "seed " << CrashSeed << ": " << B.R.Error;
     ASSERT_GE(A.R.Recovery.Crashes, 1u) << "seed " << CrashSeed;
     ASSERT_GE(A.R.Recovery.Rollbacks, 1u) << "seed " << CrashSeed;
     expectSameObservables(A, B,
                           "lu-crash seed=" + std::to_string(CrashSeed));
-    for (unsigned T : {2u, 8u}) {
-      RunOut Leg = runLeg(P, On, Spec, opts(4, Pv, true, T, F, CK), Pv);
-      expectIdentical(B, Leg,
-                      "lu-crash-early seed=" + std::to_string(CrashSeed) +
-                          " threads=" + std::to_string(T));
-    }
   }
 }
 
@@ -384,8 +355,8 @@ TEST(OverlapSim, UnrecoverableCrashSameDiagnostics) {
   FaultOptions F;
   F.CrashRate = 2e-3;
   F.CrashSeed = 5;
-  RunOut A = runLeg(P, Off, Spec, opts(4, Pv, true, 1, F), Pv);
-  RunOut B = runLeg(P, On, Spec, opts(4, Pv, true, 1, F), Pv);
+  RunOut A = runLeg(P, Off, Spec, opts(4, Pv, true, F), Pv);
+  RunOut B = runLeg(P, On, Spec, opts(4, Pv, true, F), Pv);
   ASSERT_FALSE(A.R.Ok);
   ASSERT_FALSE(B.R.Ok);
   ASSERT_GE(A.R.Recovery.Crashes, 1u);
@@ -401,8 +372,8 @@ TEST(OverlapSim, SimKnobOffReducesToBlockingEngine) {
   CompiledProgram Off = compileLeg(P, Spec, false);
   CompiledProgram On = compileLeg(P, Spec, true);
   std::map<std::string, IntT> Pv = {{"N", 48}};
-  RunOut A = runLeg(P, Off, Spec, opts(8, Pv, true, 1), Pv);
-  SimOptions SO = opts(8, Pv, true, 1);
+  RunOut A = runLeg(P, Off, Spec, opts(8, Pv, true), Pv);
+  SimOptions SO = opts(8, Pv, true);
   SO.EarlySends = false;
   RunOut B = runLeg(P, On, Spec, SO, Pv);
   ASSERT_TRUE(A.R.Ok) << A.R.Error;

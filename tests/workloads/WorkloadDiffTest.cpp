@@ -6,9 +6,9 @@
 //  - correct: the functional simulation agrees element-for-element with
 //    the sequential interpreter AND the independent plain-C++ reference
 //    kernels (examples/WorkloadKernels.h);
-//  - engine-independent: the sequential round engine, the threaded
-//    round engine and the discrete-event engine are bit-identical on
-//    clean, lossy, hostile and crash/checkpoint schedules;
+//  - engine-independent: the rounds engine and the discrete-event
+//    engine are bit-identical on clean, lossy, hostile and
+//    crash/checkpoint schedules;
 //  - overlap-safe: compiling with early sends changes no array element;
 //  - robust under random schedules: the *Fuzz* slice pushes random
 //    sizes and random enumerated decompositions through rounds-vs-event
@@ -76,7 +76,7 @@ const Workload &workload(const std::string &Name) {
 }
 
 SimOptions opts(IntT Procs, std::map<std::string, IntT> Params,
-                bool Functional, SimEngine Engine, unsigned Threads = 1,
+                bool Functional, SimEngine Engine,
                 FaultOptions Faults = {},
                 CheckpointOptions Checkpoint = {}) {
   SimOptions SO;
@@ -86,7 +86,6 @@ SimOptions opts(IntT Procs, std::map<std::string, IntT> Params,
   SO.CollapseLoops = !Functional;
   SO.Faults = Faults;
   SO.Checkpoint = Checkpoint;
-  SO.Threads = Threads;
   SO.Engine = Engine;
   return SO;
 }
@@ -175,24 +174,20 @@ void expectIdentical(const RunOut &A, const RunOut &B,
   EXPECT_EQ(Bad, 0u) << Tag << ": array contents diverge";
 }
 
-/// Runs the same schedule under the sequential round engine, the event
-/// engine and the 2-thread round engine; all legs must be identical.
+/// Runs the same schedule under the rounds engine and the event engine;
+/// both legs must be identical.
 void expectEnginesAgree(const Program &P, const CompiledProgram &CP,
                         const CompileSpec &Spec, IntT Procs,
                         const std::map<std::string, IntT> &Pv,
                         FaultOptions F, CheckpointOptions CK,
                         const std::string &Tag) {
   RunOut Seq = runLeg(P, CP, Spec,
-                      opts(Procs, Pv, true, SimEngine::Rounds, 1, F, CK),
+                      opts(Procs, Pv, true, SimEngine::Rounds, F, CK),
                       Pv);
   RunOut Evt = runLeg(P, CP, Spec,
-                      opts(Procs, Pv, true, SimEngine::Event, 1, F, CK),
+                      opts(Procs, Pv, true, SimEngine::Event, F, CK),
                       Pv);
   expectIdentical(Seq, Evt, Tag + " event-vs-seq");
-  RunOut Thr = runLeg(P, CP, Spec,
-                      opts(Procs, Pv, true, SimEngine::Rounds, 2, F, CK),
-                      Pv);
-  expectIdentical(Evt, Thr, Tag + " event-vs-threaded");
 }
 
 /// Expected array contents by independent reference kernel, keyed by
@@ -300,7 +295,7 @@ TEST_P(WorkloadDiff, EnginesAgreeLossy) {
     F.MaxSlowdown = 1.5;
     RunOut Base =
         runLeg(W.prog(), W.CP, W.SP.Spec,
-               opts(4, W.params(), true, SimEngine::Rounds, 1, F),
+               opts(4, W.params(), true, SimEngine::Rounds, F),
                W.params());
     ASSERT_TRUE(Base.R.Ok) << GetParam() << " seed " << Seed << ": "
                            << Base.R.Error;
@@ -324,7 +319,7 @@ TEST_P(WorkloadDiff, EnginesAgreeHostile) {
   F.SlowLinkMaxFactor = 3.0;
   F.DropRate = 0.03;
   RunOut Base = runLeg(W.prog(), W.CP, W.SP.Spec,
-                       opts(4, W.params(), true, SimEngine::Rounds, 1, F),
+                       opts(4, W.params(), true, SimEngine::Rounds, F),
                        W.params());
   ASSERT_TRUE(Base.R.Ok) << GetParam() << ": " << Base.R.Error;
   expectEnginesAgree(W.prog(), W.CP, W.SP.Spec, 4, W.params(), F, {},
@@ -347,7 +342,7 @@ TEST_P(WorkloadDiff, EnginesAgreeUnderCrashRecovery) {
     CK.IntervalSteps = 400;
     RunOut Base =
         runLeg(W.prog(), W.CP, W.SP.Spec,
-               opts(4, W.params(), true, SimEngine::Rounds, 1, F, CK),
+               opts(4, W.params(), true, SimEngine::Rounds, F, CK),
                W.params());
     ASSERT_TRUE(Base.R.Ok) << GetParam() << " seed " << CrashSeed << ": "
                            << Base.R.Error;
@@ -395,7 +390,7 @@ INSTANTIATE_TEST_SUITE_P(Workloads, WorkloadDiff,
 
 //===----------------------------------------------------------------------===//
 // Fuzz slice: random sizes x random enumerated decompositions x mixed
-// hostile schedules, rounds vs event vs threaded (labels fuzz;workloads)
+// hostile schedules, rounds vs event (labels fuzz;workloads)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -424,8 +419,8 @@ TEST(WorkloadFuzz, RandomDecompositionsAgreeAcrossEnginesUnderHostileNet) {
   // Round-robin the five workloads; for each case draw random problem
   // sizes, enumerate the bounded decomposition space at those sizes,
   // pick a random candidate (possibly the hand-written hint), compile
-  // it, draw a random hostile-network mix, and require the sequential,
-  // threaded and event engines bit-identical.
+  // it, draw a random hostile-network mix, and require the rounds and
+  // event engines bit-identical.
   const char *Names[] = {"cholesky", "jacobi2d", "jacobi3d", "adi",
                          "floyd"};
   Rng R(0xD15C0u);
@@ -475,7 +470,7 @@ TEST(WorkloadFuzz, RandomDecompositionsAgreeAcrossEnginesUnderHostileNet) {
                       " " + Cand.Desc + " P=" + std::to_string(SO.Procs) +
                       " seed=" + std::to_string(F.Seed);
     RunOut Base = runLeg(W.prog(), CP, Cand.Spec,
-                         opts(SO.Procs, Pv, true, SimEngine::Rounds, 1, F),
+                         opts(SO.Procs, Pv, true, SimEngine::Rounds, F),
                          Pv);
     ASSERT_TRUE(Base.R.Ok) << Tag << ": " << Base.R.Error;
     expectEnginesAgree(W.prog(), CP, Cand.Spec, SO.Procs, Pv, F, {}, Tag);

@@ -10,13 +10,8 @@
 //     --print-comm           optimized communication sets
 //     --print-spmd           the generated SPMD program (default)
 //     --simulate P           run on P simulated processors
-//     --sim-threads N        run the simulated physical processors on N
-//                            OS threads (0 = hardware concurrency;
-//                            default 1 = sequential engine); results are
-//                            bit-identical at every thread count
-//     --sim-engine E         scheduler: 'rounds' (default; sequential
-//                            or threaded global rounds) or 'event'
-//                            (discrete-event queue, single-threaded,
+//     --sim-engine E         scheduler: 'rounds' (default; global
+//                            rounds) or 'event' (discrete-event queue,
 //                            built for P >= 1024); accepts
 //                            --sim-engine=E too; results are
 //                            bit-identical across engines
@@ -155,8 +150,8 @@ int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s FILE [--print-program] [--print-lwt] "
                "[--print-comm] [--print-spmd]\n"
-               "       [--simulate P] [--sim-threads N] "
-               "[--sim-engine rounds|event] [--functional]\n"
+               "       [--simulate P] [--sim-engine rounds|event] "
+               "[--functional]\n"
                "       [--auto-decomp]\n"
                "       [--param N=V]...\n"
                "       [--no-self-reuse] [--no-group-reuse] "
@@ -216,7 +211,6 @@ int main(int Argc, char **Argv) {
   bool PrintSpmd = false, Functional = false, PrintStats = false;
   bool AutoDecomp = false;
   IntT SimProcs = 0;
-  unsigned SimThreads = 1;
   std::string SimEngineName = "rounds";
   bool SimulateGiven = false, CheckpointGiven = false;
   long long MaxRetriesRaw = -1;
@@ -268,9 +262,7 @@ int main(int Argc, char **Argv) {
     else if (std::strcmp(A, "--simulate") == 0 && I + 1 < Argc) {
       SimProcs = std::atoll(Argv[++I]);
       SimulateGiven = true;
-    } else if (std::strcmp(A, "--sim-threads") == 0 && I + 1 < Argc)
-      SimThreads = static_cast<unsigned>(std::atoll(Argv[++I]));
-    else if (std::strcmp(A, "--sim-engine") == 0 && I + 1 < Argc)
+    } else if (std::strcmp(A, "--sim-engine") == 0 && I + 1 < Argc)
       SimEngineName = Argv[++I];
     else if (std::strncmp(A, "--sim-engine=", 13) == 0)
       SimEngineName = A + 13;
@@ -326,9 +318,8 @@ int main(int Argc, char **Argv) {
       // `I + 1 < Argc` guard above and lands here; name the real
       // problem instead of claiming the option is unknown.
       static const char *const ValueFlags[] = {
-          "--simulate",       "--sim-threads",
-          "--sim-engine",     "--node-budget",
-          "--fault-seed",
+          "--simulate",       "--sim-engine",
+          "--node-budget",    "--fault-seed",
           "--drop-rate",      "--dup-rate",
           "--max-delay",      "--corrupt-rate",
           "--partition-rate", "--partition-outage",
@@ -380,14 +371,6 @@ int main(int Argc, char **Argv) {
                  "error: --sim-engine expects 'rounds' or 'event', got "
                  "'%s'\n",
                  SimEngineName.c_str());
-    return ExitUsage;
-  }
-  if (Engine == SimEngine::Event && SimThreads != 1) {
-    std::fprintf(stderr,
-                 "error: --sim-engine event is single-threaded; it "
-                 "cannot be combined with --sim-threads %u (use "
-                 "--sim-engine rounds for the threaded engine)\n",
-                 SimThreads);
     return ExitUsage;
   }
   if (SimulateGiven && SimProcs < 1) {
@@ -568,7 +551,6 @@ int main(int Argc, char **Argv) {
     SO.CollapseLoops = !Functional;
     SO.Faults = Faults;
     SO.Checkpoint = Checkpoint;
-    SO.Threads = SimThreads;
     SO.Engine = Engine;
     Simulator Sim(P, CP, SP.Spec, SO);
     SimResult R = Sim.run();

@@ -1,9 +1,9 @@
 //===- tools/dmcc-fleet.cpp - Scenario fleet orchestrator ------*- C++ -*-===//
 //
 // Compile a program once, then fan a scenario matrix (fault seed x
-// crash seed x checkpoint interval x engine/thread count) across a
-// fork-based worker pool with watchdog timeouts, crash detection and
-// bounded retry with exponential backoff (DESIGN.md §12). Every
+// crash seed x checkpoint interval x engine) across a fork-based
+// worker pool with watchdog timeouts, crash detection and bounded
+// retry with exponential backoff (DESIGN.md §12). Every
 // surviving scenario's final arrays are checked bit-identical to the
 // clean sequential run; the aggregated JSON report accounts for every
 // scenario with a terminal status.
@@ -28,11 +28,8 @@
 //                            comma-separated logical-step intervals;
 //                            0 = no checkpoints (crash rate is zeroed
 //                            in those cells)                 (def 0,64)
-//     --threads LIST         comma-separated engine thread counts
-//                            (1 = sequential)                (def 1,2)
 //     --engines LIST         comma-separated scheduler engines from
-//                            {rounds, event}; event cells run only at
-//                            thread count 1                (def rounds)
+//                            {rounds, event}               (def rounds)
 //
 //   Base fault rates applied to every scenario:
 //     --drop-rate R --dup-rate R --corrupt-rate R --partition-rate R
@@ -87,8 +84,7 @@ int usage(const char *Argv0) {
       "usage: %s FILE [--procs P] [--param N=V]...\n"
       "       [--programs FILE1,FILE2,...]\n"
       "       [--fault-seeds N] [--crash-seeds N]\n"
-      "       [--checkpoint-intervals LIST] [--threads LIST]\n"
-      "       [--engines LIST]\n"
+      "       [--checkpoint-intervals LIST] [--engines LIST]\n"
       "       [--drop-rate R] [--dup-rate R] [--corrupt-rate R]\n"
       "       [--partition-rate R] [--partition-outage N]\n"
       "       [--slow-link-rate R] [--slow-link-factor F]\n"
@@ -158,7 +154,6 @@ int main(int Argc, char **Argv) {
   FleetMatrixSpec MS;
   uint64_t NumFaultSeeds = 4, NumCrashSeeds = 1;
   MS.CheckpointIntervals = {0, 64};
-  MS.ThreadCounts = {1, 2};
   FleetOptions FO;
   std::map<std::string, IntT> Params;
 
@@ -187,13 +182,6 @@ int main(int Argc, char **Argv) {
     } else if (std::strcmp(A, "--checkpoint-intervals") == 0) {
       if (!(V = Value(A)) || !parseList(A, V, MS.CheckpointIntervals))
         return ExitUsage;
-    } else if (std::strcmp(A, "--threads") == 0) {
-      std::vector<uint64_t> L;
-      if (!(V = Value(A)) || !parseList(A, V, L))
-        return ExitUsage;
-      MS.ThreadCounts.clear();
-      for (uint64_t T : L)
-        MS.ThreadCounts.push_back(static_cast<unsigned>(T ? T : 1));
     } else if (std::strcmp(A, "--engines") == 0) {
       if (!(V = Value(A)))
         return ExitUsage;
